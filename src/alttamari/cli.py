@@ -1,8 +1,18 @@
 """Command line front end.
 
-Exit codes: 0 success, 2 usage errors, 3 validation errors on otherwise
-well-formed input, 4 invariant breaches (a census or oracle mismatch that
-would falsify the implementation).
+Exit codes:
+
+* 0 success;
+* 2 usage errors: malformed path or increment literals, missing or
+  conflicting arguments, a negative ``--max-size``;
+* 3 validation errors on otherwise well-formed input: a path that is not
+  weakly above nu, and a tree file that cannot be read, is not JSON, lacks
+  a key, does not hold a tree of its region or lies over another nu or
+  delta than ``--nu``/``--delta``;
+* 4 invariant breaches: a census, oracle or flushing mismatch that would
+  falsify the implementation.
+
+Every error is reported as one line on stderr, never as a traceback.
 """
 
 from __future__ import annotations
@@ -12,14 +22,16 @@ import json
 import sys
 
 from . import oracle
-from .order import build_lattice
+from .order import LatticeLawError, build_lattice
 from .paths import (
     ContractError,
     IncrementVector,
     LatticePath,
     NuPath,
     PathSyntaxError,
+    all_base_paths,
     enumerate_nu_paths,
+    increment_box,
     is_weakly_above,
     parse_increments,
     parse_path,
@@ -31,7 +43,7 @@ from .transport import (
     verify_theorem,
     vertical_flushing,
 )
-from .trees import build_region, left_flushing, right_flushing, tree_from_json
+from .trees import GridTree, build_region, left_flushing, right_flushing, tree_from_json
 from .vectors import reduced_column_vector, row_vector
 
 USAGE_ERROR = 2
@@ -45,13 +57,6 @@ def _emit(text: str, out: str | None) -> None:
     else:
         with open(out, "w") as handle:
             handle.write(text)
-
-
-def _parse_nu(args) -> LatticePath:
-    try:
-        return parse_path(args.nu)
-    except PathSyntaxError as err:
-        raise _Usage(str(err)) from err
 
 
 def _parse_delta(text: str, nu: LatticePath) -> IncrementVector:
@@ -74,14 +79,14 @@ class _Breach(Exception):
 
 
 def cmd_paths(args) -> int:
-    nu = _parse_nu(args)
+    nu = parse_path(args.nu)
     for i, mu in enumerate(enumerate_nu_paths(nu)):
         print(f"{i}\t{mu.path.word}\t{mu.path.composition_str()}")
     return 0
 
 
 def cmd_lattice(args) -> int:
-    nu = _parse_nu(args)
+    nu = parse_path(args.nu)
     delta = _parse_delta(args.delta, nu)
     lattice = build_lattice(nu, delta)
     if args.format == "dot":
@@ -100,7 +105,7 @@ def cmd_lattice(args) -> int:
 
 
 def cmd_census(args) -> int:
-    nu = _parse_nu(args)
+    nu = parse_path(args.nu)
     delta = _parse_delta(args.delta, nu)
     census = build_lattice(nu, delta).census()
     if args.format == "json":
@@ -121,10 +126,12 @@ def cmd_verify(args) -> int:
     failures = 0
     if args.nu is None and args.max_size is None:
         raise _Usage("verify needs --nu or --max-size")
+    if args.max_size is not None and args.max_size < 0:
+        raise _Usage(f"--max-size must be >= 0, got {args.max_size}")
     if args.nu is not None:
         failures += _verify_one(parse_path(args.nu), args)
     if args.max_size is not None:
-        for nu in _all_paths_up_to(args.max_size):
+        for nu in all_base_paths(args.max_size):
             failures += _verify_one(nu, args)
     return INVARIANT_BREACH if failures else 0
 
@@ -144,8 +151,6 @@ def _verify_one(nu: LatticePath, args) -> int:
 
 def _cross_check(nu: LatticePath) -> int:
     """Oracle census and lattice laws for every increment vector of nu."""
-    from .paths import increment_box
-
     failures = 0
     for delta in increment_box(nu):
         lattice = build_lattice(nu, delta)
@@ -159,15 +164,8 @@ def _cross_check(nu: LatticePath) -> int:
     return failures
 
 
-def _all_paths_up_to(size: int):
-    for length in range(size + 1):
-        for bits in range(1 << length):
-            word = "".join("N" if bits >> i & 1 else "E" for i in range(length))
-            yield LatticePath(word)
-
-
 def cmd_flush(args) -> int:
-    nu = _parse_nu(args)
+    nu = parse_path(args.nu)
     delta = _parse_delta(args.delta, nu)
     region = build_region(nu, delta)
     if (args.path is None) == (args.tree is None):
@@ -179,8 +177,12 @@ def cmd_flush(args) -> int:
         tree = right_flushing(NuPath(candidate, nu), region)
         _emit(json.dumps(tree.to_json_dict(), indent=2) + "\n", args.out)
         return 0
-    with open(args.tree) as handle:
-        tree = tree_from_json(json.load(handle))
+    tree = _read_tree(args.tree)
+    if tree.region != region:
+        raise _Validation(
+            f"tree in {args.tree!r} lies over nu={tree.region.nu.word} "
+            f"delta={tree.region.delta}, not nu={nu.word} delta={delta}"
+        )
     mu = left_flushing(tree)
     _emit(
         json.dumps({"nu": nu.word, "path": mu.path.word, "composition": list(mu.composition)})
@@ -190,8 +192,40 @@ def cmd_flush(args) -> int:
     return 0
 
 
+def _read_tree(path: str) -> GridTree:
+    """The tree stored in a JSON file; any fault in the file is a validation error."""
+    try:
+        with open(path) as handle:
+            data = json.load(handle)
+    except (OSError, ValueError) as err:
+        raise _Validation(f"cannot read tree file {path!r}: {err}") from err
+    if not isinstance(data, dict):
+        raise _Validation(f"tree file {path!r} holds no tree: not a JSON object")
+    for key in ("nu", "delta", "nodes"):
+        if key not in data:
+            raise _Validation(f"tree file {path!r} lacks the key {key!r}")
+    if not (
+        isinstance(data["nu"], str)
+        and _is_int_list(data["delta"])
+        and isinstance(data["nodes"], list)
+        and all(_is_int_list(node) and len(node) == 2 for node in data["nodes"])
+    ):
+        raise _Validation(
+            f"tree file {path!r} holds no tree: expected a word nu, "
+            "a list of integers delta and nodes as pairs of integers"
+        )
+    try:
+        return tree_from_json(data)
+    except (ContractError, PathSyntaxError) as err:
+        raise _Validation(f"tree file {path!r} holds no tree: {err}") from err
+
+
+def _is_int_list(value) -> bool:
+    return isinstance(value, list) and all(type(v) is int for v in value)
+
+
 def cmd_transport(args) -> int:
-    nu = _parse_nu(args)
+    nu = parse_path(args.nu)
     delta = _parse_delta(args.delta, nu)
     delta2 = _parse_delta(args.delta2, nu)
     candidate = parse_path(args.path)
@@ -200,16 +234,17 @@ def cmd_transport(args) -> int:
     source = right_flushing(NuPath(candidate, nu), build_region(nu, delta))
     if args.direction == "h":
         target = horizontal_flushing(source, delta2)
-        preserved = {"row_vector": list(row_vector(source))}
-        assert row_vector(target) == row_vector(source)
+        name, vector = "row_vector", row_vector
     else:
         target = vertical_flushing(source, delta2)
-        preserved = {"reduced_column_vector": list(reduced_column_vector(source))}
-        assert reduced_column_vector(target) == reduced_column_vector(source)
+        name, vector = "reduced_column_vector", reduced_column_vector
+    kept = vector(source)
+    if vector(target) != kept:
+        raise _Breach(f"{name} not preserved: {kept} became {vector(target)}")
     doc = {
         "source": source.to_json_dict(),
         "target": target.to_json_dict(),
-        "preserved": preserved,
+        "preserved": {name: list(kept)},
     }
     _emit(json.dumps(doc, indent=2) + "\n", args.out)
     return 0
@@ -291,19 +326,13 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except _Usage as err:
+    except (_Usage, PathSyntaxError) as err:
         print(f"usage error: {err}", file=sys.stderr)
         return USAGE_ERROR
-    except _Validation as err:
+    except (_Validation, ContractError) as err:
         print(f"validation error: {err}", file=sys.stderr)
         return VALIDATION_ERROR
-    except PathSyntaxError as err:
-        print(f"usage error: {err}", file=sys.stderr)
-        return USAGE_ERROR
-    except ContractError as err:
-        print(f"validation error: {err}", file=sys.stderr)
-        return VALIDATION_ERROR
-    except _Breach as err:
+    except (_Breach, LatticeLawError) as err:
         print(f"invariant breach: {err}", file=sys.stderr)
         return INVARIANT_BREACH
 

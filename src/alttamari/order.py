@@ -16,8 +16,10 @@ for right intervals with the reduced column vector.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import Counter
+from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 
 from .paths import (
     ContractError,
@@ -38,7 +40,7 @@ from .trees import (
     tree_rotation,
     tree_rotation_down,
 )
-from .vectors import reduced_column_order, reduced_column_vector, row_vector
+from .vectors import reduced_column_vector
 
 TRIVIAL = "trivial"
 LEFT = "left"
@@ -51,15 +53,18 @@ class LatticeLawError(AssertionError):
 
 
 @dataclass(frozen=True)
-class HorizontalL:
-    """A row run q_0..q_l of tree nodes with the parent p of q_0 on top."""
-
+class _RunL:
     anchor: Point
     run: tuple[Point, ...]
 
     @property
     def length(self) -> int:
         return len(self.run) - 1
+
+
+@dataclass(frozen=True)
+class HorizontalL(_RunL):
+    """A row run q_0..q_l of tree nodes with the parent p of q_0 on top."""
 
     @property
     def row(self) -> int:
@@ -67,15 +72,8 @@ class HorizontalL:
 
 
 @dataclass(frozen=True)
-class VerticalL:
+class VerticalL(_RunL):
     """A column run q'_0..q'_l of tree nodes, top down, with the parent p of q'_0."""
-
-    anchor: Point
-    run: tuple[Point, ...]
-
-    @property
-    def length(self) -> int:
-        return len(self.run) - 1
 
     @property
     def column(self) -> int:
@@ -119,6 +117,16 @@ def _trim(counts: list[int]) -> tuple[int, ...]:
     while counts and counts[-1] == 0:
         counts.pop()
     return tuple(counts)
+
+
+def _count_at_least(histogram: Counter, longest: int) -> list[int]:
+    """Entry k - 1 is the number of histogram entries >= k, for k = 1..longest."""
+    counts = [0] * longest
+    running = 0
+    for k in range(longest, 0, -1):
+        running += histogram[k]
+        counts[k - 1] = running
+    return counts
 
 
 class FiniteLattice:
@@ -181,12 +189,7 @@ class FiniteLattice:
         return len(self.elements)
 
     def element_id(self, mu: NuPath | LatticePath | tuple[int, ...]) -> int:
-        if isinstance(mu, NuPath):
-            key = mu.composition
-        elif isinstance(mu, LatticePath):
-            key = mu.composition
-        else:
-            key = tuple(mu)
+        key = mu.composition if isinstance(mu, (NuPath, LatticePath)) else tuple(mu)
         try:
             return self._ids[key]
         except KeyError:
@@ -265,34 +268,19 @@ class FiniteLattice:
         return True, size - 1
 
     def census(self) -> Census:
-        comps = [mu.composition for mu in self.elements]
         n = self.nu.n
-        max_len = 0
-        for comp in comps:
-            if n > 0:
-                max_len = max(max_len, max(comp[:n]))
-        for vec in self.reduced_vectors:
-            if vec:
-                max_len = max(max_len, max(vec))
-        left = [0] * (max_len + 1)
-        right = [0] * (max_len + 1)
-        for comp in comps:
-            for entry in comp[:n]:
-                for k in range(1, entry + 1):
-                    left[k] += 1
-        for vec in self.reduced_vectors:
-            for entry in vec:
-                for k in range(1, entry + 1):
-                    right[k] += 1
+        rows = Counter(entry for mu in self.elements for entry in mu.composition[:n])
+        columns = Counter(entry for vec in self.reduced_vectors for entry in vec)
+        longest = max(chain(rows, columns), default=0)
+        left = _count_at_least(rows, longest)
+        right = _count_at_least(columns, longest)
         covers = len(self.covers)
-        if max_len >= 1 and (left[1] != covers or right[1] != covers):
+        if longest >= 1 and (left[0] != covers or right[0] != covers):
             raise LatticeLawError(
-                f"length-1 counts disagree: covers={covers} left={left[1]} right={right[1]}"
+                f"length-1 counts disagree: covers={covers} left={left[0]} right={right[0]}"
             )
-        totals = [len(self.elements), covers]
-        for k in range(2, max_len + 1):
-            totals.append(left[k] + right[k])
-        return Census(_trim(totals), _trim(left[1:]), _trim(right[1:]))
+        totals = [len(self.elements), covers] + [a + b for a, b in zip(left[1:], right[1:])]
+        return Census(tuple(totals), tuple(left), tuple(right))
 
     def classify(self, bottom: int, top: int) -> IntervalRecord:
         linear, length = self.is_linear(bottom, top)
@@ -300,28 +288,21 @@ class FiniteLattice:
             return IntervalRecord(bottom, top, length, NON_LINEAR)
         if length == 0:
             return IntervalRecord(bottom, top, 0, TRIVIAL)
-        left_witness = None
-        for cand in left_intervals_from(self.trees[bottom], length):
-            if self.tree_id(apply_horizontal(self.trees[bottom], cand)) == top:
-                left_witness = cand
-                break
-        right_witness = None
-        for cand in right_intervals_to(self.trees[top], length):
-            if self.tree_id(apply_vertical(self.trees[top], cand)) == bottom:
-                right_witness = cand
-                break
+        lower, upper = self.trees[bottom], self.trees[top]
+        left = left_witness(lower, upper, length)
+        right = right_witness(lower, upper, length)
         if length == 1:
-            if left_witness is None or right_witness is None:
+            if left is None or right is None:
                 raise LatticeLawError(f"cover [{bottom},{top}] lacks a left or right witness")
-            return IntervalRecord(bottom, top, 1, LEFT, also_right=True, witness=left_witness)
-        if (left_witness is None) == (right_witness is None):
+            return IntervalRecord(bottom, top, 1, LEFT, also_right=True, witness=left)
+        if (left is None) == (right is None):
             raise LatticeLawError(
                 f"linear interval [{bottom},{top}] of length {length} has "
-                f"{'both' if left_witness else 'no'} witnesses"
+                f"{'both' if left else 'no'} witnesses"
             )
-        if left_witness is not None:
-            return IntervalRecord(bottom, top, length, LEFT, witness=left_witness)
-        return IntervalRecord(bottom, top, length, RIGHT, witness=right_witness)
+        if left is not None:
+            return IntervalRecord(bottom, top, length, LEFT, witness=left)
+        return IntervalRecord(bottom, top, length, RIGHT, witness=right)
 
     # -- export ---------------------------------------------------------
 
@@ -372,20 +353,34 @@ def right_intervals_to(tree: GridTree, length: int) -> list[VerticalL]:
     """One vertical L per reduced column holding >= length + 1 relevant nodes."""
     if length < 1:
         raise ContractError("right intervals have length >= 1")
-    region = tree.region
     found = []
-    for x in reduced_column_order(region):
-        ys = tree.by_column.get(x, ())
-        relevant = [y for y in ys if not region.is_nonrelevant(x, y)]
+    for x in tree.region.reduced_column_order:
+        relevant = tree.relevant_column(x)
         if len(relevant) - 1 < length:
             continue
-        run = tuple((x, y) for y in sorted(relevant, reverse=True)[: length + 1])
+        run = tuple((x, y) for y in relevant[::-1][: length + 1])
         top_y = run[0][1]
         lefts = [xx for xx in tree.by_row[top_y] if xx < x]
         if not lefts:
             raise ContractError(f"column-top node ({x},{top_y}) has no parent to its left")
         found.append(VerticalL((max(lefts), top_y), run))
     return found
+
+
+def left_witness(bottom: GridTree, top: GridTree, length: int) -> HorizontalL | None:
+    """The horizontal L of the given length that rotates bottom into top, if any."""
+    for cand in left_intervals_from(bottom, length):
+        if apply_horizontal(bottom, cand).nodes == top.nodes:
+            return cand
+    return None
+
+
+def right_witness(bottom: GridTree, top: GridTree, length: int) -> VerticalL | None:
+    """The vertical L of the given length that rotates top down into bottom, if any."""
+    for cand in right_intervals_to(top, length):
+        if apply_vertical(top, cand).nodes == bottom.nodes:
+            return cand
+    return None
 
 
 def apply_horizontal(tree: GridTree, ell: HorizontalL) -> GridTree:

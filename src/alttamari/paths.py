@@ -108,6 +108,13 @@ def reverse_path(path: LatticePath) -> LatticePath:
     return LatticePath("".join(swapped[ch] for ch in reversed(path.word)))
 
 
+def all_base_paths(max_size: int) -> Iterator[LatticePath]:
+    """Every step word with at most max_size letters, the empty one included."""
+    for length in range(max_size + 1):
+        for bits in range(1 << length):
+            yield LatticePath("".join(NORTH if bits >> i & 1 else EAST for i in range(length)))
+
+
 def is_weakly_above(path: LatticePath, base: LatticePath) -> bool:
     if path.m != base.m or path.n != base.n:
         return False
@@ -165,10 +172,6 @@ class IncrementVector:
     @classmethod
     def maximal(cls, nu: LatticePath) -> "IncrementVector":
         return cls(nu.composition[1:], nu)
-
-    @property
-    def is_maximal(self) -> bool:
-        return self.entries == self.nu.composition[1:]
 
     def __str__(self) -> str:
         return ",".join(str(d) for d in self.entries)

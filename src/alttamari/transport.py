@@ -13,19 +13,22 @@ increment box.
 from __future__ import annotations
 
 import random
+from collections import Counter
 from dataclasses import dataclass
 from math import comb
 
 from .order import (
+    LEFT,
+    NON_LINEAR,
+    RIGHT,
     Census,
-    FiniteLattice,
-    HorizontalL,
-    VerticalL,
     apply_horizontal,
     apply_vertical,
     build_lattice,
     left_intervals_from,
+    left_witness,
     right_intervals_to,
+    right_witness,
 )
 from .paths import (
     ContractError,
@@ -35,11 +38,7 @@ from .paths import (
     is_weakly_above,
 )
 from .trees import GridTree, build_region, left_flushing, right_flushing
-from .vectors import (
-    reduced_column_order,
-    reduced_column_vector,
-    reduced_down_flushing,
-)
+from .vectors import reduced_column_vector, reduced_down_flushing
 
 
 def horizontal_flushing(tree: GridTree, delta2: IncrementVector) -> GridTree:
@@ -75,11 +74,12 @@ def transport_left_interval(
     The image is the left interval of the same length in the same row of
     the horizontally flushed bottom tree.
     """
-    witness = _find_left_witness(bottom, top)
+    length = len(top.nodes - bottom.nodes)
+    witness = left_witness(bottom, top, length) if length else None
     if witness is None:
         raise ContractError("the given pair of trees is not a left interval")
     bottom2 = horizontal_flushing(bottom, delta2)
-    for cand in left_intervals_from(bottom2, witness.length):
+    for cand in left_intervals_from(bottom2, length):
         if cand.row == witness.row:
             return bottom2, apply_horizontal(bottom2, cand)
     raise ContractError("no corresponding horizontal run in the target tree")
@@ -89,37 +89,17 @@ def transport_right_interval(
     bottom: GridTree, top: GridTree, delta2: IncrementVector
 ) -> tuple[GridTree, GridTree]:
     """Carry a right interval [bottom, top], matching the reduced column index."""
-    witness = _find_right_witness(bottom, top)
+    length = len(top.nodes - bottom.nodes)
+    witness = right_witness(bottom, top, length) if length else None
     if witness is None:
         raise ContractError("the given pair of trees is not a right interval")
-    source_order = reduced_column_order(bottom.region)
-    column_index = source_order.index(witness.column)
     top2 = vertical_flushing(top, delta2)
-    target_order = reduced_column_order(top2.region)
-    for cand in right_intervals_to(top2, witness.length):
-        if target_order.index(cand.column) == column_index:
+    index = bottom.region.reduced_column_order.index(witness.column)
+    column = top2.region.reduced_column_order[index]
+    for cand in right_intervals_to(top2, length):
+        if cand.column == column:
             return apply_vertical(top2, cand), top2
     raise ContractError("no corresponding vertical run in the target tree")
-
-
-def _find_left_witness(bottom: GridTree, top: GridTree) -> HorizontalL | None:
-    diff = len(top.nodes - bottom.nodes)
-    if diff < 1:
-        return None
-    for cand in left_intervals_from(bottom, diff):
-        if apply_horizontal(bottom, cand).nodes == top.nodes:
-            return cand
-    return None
-
-
-def _find_right_witness(bottom: GridTree, top: GridTree) -> VerticalL | None:
-    diff = len(top.nodes - bottom.nodes)
-    if diff < 1:
-        return None
-    for cand in right_intervals_to(top, diff):
-        if apply_vertical(top, cand).nodes == bottom.nodes:
-            return cand
-    return None
 
 
 @dataclass(frozen=True)
@@ -196,39 +176,33 @@ def restricted_census(nu: LatticePath, base: LatticePath) -> RestrictedReport:
         for i, element in enumerate(full.elements)
         if is_weakly_above(element.path, nu)
     ]
-    members = set(member_ids)
     mask = 0
     for i in member_ids:
         mask |= 1 << i
     minimal = sum(1 for i in member_ids if full.down[i] & mask == 1 << i)
 
-    max_len = 0
-    linear: list[tuple[int, int, int]] = []
+    totals: Counter = Counter()
+    left: Counter = Counter()
+    right: Counter = Counter()
     for a in member_ids:
         rest = full.up[a] & mask
         while rest:
             low = rest & -rest
-            b = low.bit_length() - 1
             rest ^= low
-            ok, length = full.is_linear(a, b)
-            if ok:
-                linear.append((a, b, length))
-                max_len = max(max_len, length)
-    totals = [0] * (max_len + 1)
-    left = [0] * (max_len + 1)
-    right = [0] * (max_len + 1)
-    for a, b, length in linear:
-        totals[length] += 1
-        if length == 0:
-            continue
-        record = full.classify(a, b)
-        if record.kind == "left":
-            left[length] += 1
-            if record.also_right:
-                right[length] += 1
-        else:
-            right[length] += 1
-    census = Census(tuple(totals), tuple(left[1:]), tuple(right[1:]))
+            record = full.classify(a, low.bit_length() - 1)
+            if record.kind == NON_LINEAR:
+                continue
+            totals[record.length] += 1
+            if record.kind == LEFT:
+                left[record.length] += 1
+            if record.kind == RIGHT or record.also_right:
+                right[record.length] += 1
+    longest = max(totals)
+    census = Census(
+        tuple(totals[k] for k in range(longest + 1)),
+        tuple(left[k] for k in range(1, longest + 1)),
+        tuple(right[k] for k in range(1, longest + 1)),
+    )
     return RestrictedReport(nu, base, len(member_ids), minimal, census)
 
 

@@ -12,6 +12,11 @@ points are incompatible when one is strictly southwest of the other and
 the rectangle they span stays inside the ambient staircase.  Every tree
 has exactly m + n + 1 nodes and contains the region's top-left corner.
 
+The region's shape is worked out once, on :class:`GridRegion`: the floor
+and length of every column, the number of relevant points per column (a
+point is relevant unless it is the leftmost of its row) and the two
+column orders that index column and reduced column vectors.
+
 The right flushing bijection sends a nu-path to the tree with mu_i + 1
 nodes in row i, filling rows bottom to top and right to left while
 skipping every position that sits above an already placed node that is
@@ -21,6 +26,7 @@ per-row node counts.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -30,6 +36,7 @@ from .paths import (
     LatticePath,
     NuPath,
     ambient_base,
+    parse_path,
 )
 
 Point = tuple[int, int]
@@ -89,19 +96,43 @@ class GridRegion:
     def contains(self, x: int, y: int) -> bool:
         return 0 <= y <= self.n and self.row_lo[y] <= x <= self.row_hi[y]
 
+    def _count_columns(self, skip: int) -> tuple[int, ...]:
+        """Per column x, the rows y with row_lo[y] + skip <= x <= row_hi[y]."""
+        change = [0] * (self.m + 2)
+        for lo, hi in zip(self.row_lo, self.row_hi):
+            change[lo + skip] += 1
+            change[hi + 1] -= 1
+        return tuple(itertools.accumulate(change[:-1]))
+
+    @cached_property
+    def column_lengths(self) -> tuple[int, ...]:
+        """Points in each column x; a column is a run of rows ending at row n."""
+        return self._count_columns(0)
+
+    @cached_property
+    def reduced_column_lengths(self) -> tuple[int, ...]:
+        """Relevant points in each column x (zero for the leftmost column)."""
+        return self._count_columns(1)
+
     @cached_property
     def column_floor(self) -> tuple[int, ...]:
-        """Lowest row of each column x; every column reaches the top row n."""
-        floors = []
-        for x in range(self.m + 1):
-            y = self.n
-            while y > 0 and self.contains(x, y - 1):
-                y -= 1
-            floors.append(y)
-        return tuple(floors)
+        """Lowest row of each column x."""
+        return tuple(self.n + 1 - length for length in self.column_lengths)
+
+    @cached_property
+    def column_order(self) -> tuple[int, ...]:
+        """Columns x = 0..m sorted by (length ascending, x descending)."""
+        lengths = self.column_lengths
+        return tuple(sorted(range(self.m + 1), key=lambda x: (lengths[x], -x)))
+
+    @cached_property
+    def reduced_column_order(self) -> tuple[int, ...]:
+        """The m reduced columns (x = 1..m), shortest first, right to left on ties."""
+        lengths = self.reduced_column_lengths
+        return tuple(sorted(range(1, self.m + 1), key=lambda x: (lengths[x], -x)))
 
     def column_length(self, x: int) -> int:
-        return self.n - self.column_floor[x] + 1
+        return self.column_lengths[x]
 
     def points(self) -> list[Point]:
         return [
@@ -113,10 +144,6 @@ class GridRegion:
     def is_nonrelevant(self, x: int, y: int) -> bool:
         """Non-relevant points are the leftmost of each row."""
         return self.row_lo[y] == x
-
-    @cached_property
-    def nonrelevant_points(self) -> frozenset[Point]:
-        return frozenset((self.row_lo[y], y) for y in range(self.n + 1))
 
     @property
     def top_corner(self) -> Point:
@@ -168,6 +195,11 @@ class GridTree:
             ys.sort()
         return cols
 
+    def relevant_column(self, x: int) -> list[int]:
+        """Rows of the relevant nodes in column x, ascending."""
+        lo = self.region.row_lo
+        return [y for y in self.by_column.get(x, ()) if lo[y] != x]
+
     def sorted_nodes(self) -> list[Point]:
         return sorted(self.nodes, key=lambda p: (p[1], p[0]))
 
@@ -199,8 +231,6 @@ class GridTree:
 
 
 def tree_from_json(data: dict) -> GridTree:
-    from .paths import parse_path  # local import to keep module load order simple
-
     nu = parse_path(data["nu"])
     delta = IncrementVector(tuple(data["delta"]), nu)
     region = build_region(nu, delta)
@@ -209,83 +239,49 @@ def tree_from_json(data: dict) -> GridTree:
     return tree
 
 
-def _nearest_above(tree: GridTree, x: int, y: int) -> Point | None:
-    ys = tree.by_column.get(x, ())
-    for cand in ys:
-        if cand > y:
-            return (x, cand)
-    return None
+def _first_after(values: list[int], v: int) -> int | None:
+    return next((c for c in values if c > v), None)
 
 
-def _nearest_right(tree: GridTree, x: int, y: int) -> Point | None:
-    for cand in tree.by_row[y]:
-        if cand > x:
-            return (cand, y)
-    return None
+def _last_before(values: list[int], v: int) -> int | None:
+    return max((c for c in values if c < v), default=None)
 
 
-def _nearest_left(tree: GridTree, x: int, y: int) -> Point | None:
-    best = None
-    for cand in tree.by_row[y]:
-        if cand < x:
-            best = cand
-        else:
-            break
-    return None if best is None else (best, y)
+def _rotate(tree: GridTree, q: Point, up: bool) -> GridTree:
+    """Move the corner q of its rectangle to the opposite corner.
 
-
-def _nearest_below(tree: GridTree, x: int, y: int) -> Point | None:
-    best = None
-    for cand in tree.by_column.get(x, ()):
-        if cand < y:
-            best = cand
-        else:
-            break
-    return None if best is None else (x, best)
-
-
-def _rectangle_clear(tree: GridTree, x0: int, x1: int, y0: int, y1: int, allowed: set[Point]) -> bool:
-    for p in tree.nodes:
-        if x0 <= p[0] <= x1 and y0 <= p[1] <= y1 and p not in allowed:
-            return False
-    return True
+    The rectangle is spanned by q and its nearest tree neighbours in its
+    column and its row: above and to the right of q for an up rotation,
+    below and to the left for a down rotation.  It must hold no other
+    nodes, and the new corner must stay inside the region.
+    """
+    name = "rotation" if up else "down rotation"
+    if q not in tree.nodes:
+        raise RotationError(f"{q} is not a node of the tree")
+    x, y = q
+    nearest = _first_after if up else _last_before
+    x2 = nearest(tree.by_row[y], x)
+    y2 = nearest(tree.by_column.get(x, []), y)
+    if x2 is None or y2 is None:
+        raise RotationError(f"{q} admits no {name}: missing corner witnesses")
+    (x0, x1), (y0, y1) = sorted((x, x2)), sorted((y, y2))
+    others = tree.nodes - {q, (x2, y), (x, y2)}
+    if any(x0 <= px <= x1 and y0 <= py <= y1 for px, py in others):
+        raise RotationError(f"{q} admits no {name}: rectangle not clear")
+    target = (x2, y2)
+    if not tree.region.contains(*target):
+        raise RotationLeavesRegion(f"{name} at {q} lands outside the region at {target}")
+    return GridTree(tree.region, tree.nodes - {q} | {target})
 
 
 def tree_rotation(tree: GridTree, q: Point) -> GridTree:
-    """Rotate up at q: replace the corner q by the opposite corner of its rectangle.
-
-    The witnesses are the nearest tree node above q in its column and the
-    nearest one to its right in its row; the rectangle they span must hold
-    no other nodes.  The replacement point must stay inside the region.
-    """
-    if q not in tree.nodes:
-        raise RotationError(f"{q} is not a node of the tree")
-    above = _nearest_above(tree, *q)
-    right = _nearest_right(tree, *q)
-    if above is None or right is None:
-        raise RotationError(f"{q} admits no rotation: missing corner witnesses")
-    if not _rectangle_clear(tree, q[0], right[0], q[1], above[1], {q, above, right}):
-        raise RotationError(f"{q} admits no rotation: rectangle not clear")
-    target = (right[0], above[1])
-    if not tree.region.contains(*target):
-        raise RotationLeavesRegion(f"rotation at {q} lands outside the region at {target}")
-    return GridTree(tree.region, tree.nodes - {q} | {target})
+    """Rotate up at q: replace q by the top-right corner of its rectangle."""
+    return _rotate(tree, q, up=True)
 
 
 def tree_rotation_down(tree: GridTree, q: Point) -> GridTree:
     """Inverse rotation: move q to the lower-left corner of its rectangle."""
-    if q not in tree.nodes:
-        raise RotationError(f"{q} is not a node of the tree")
-    left = _nearest_left(tree, *q)
-    below = _nearest_below(tree, *q)
-    if left is None or below is None:
-        raise RotationError(f"{q} admits no down rotation: missing corner witnesses")
-    if not _rectangle_clear(tree, left[0], q[0], below[1], q[1], {q, left, below}):
-        raise RotationError(f"{q} admits no down rotation: rectangle not clear")
-    target = (left[0], below[1])
-    if not tree.region.contains(*target):
-        raise RotationLeavesRegion(f"down rotation at {q} lands outside the region at {target}")
-    return GridTree(tree.region, tree.nodes - {q} | {target})
+    return _rotate(tree, q, up=False)
 
 
 def right_flushing(mu: NuPath, region: GridRegion) -> GridTree:

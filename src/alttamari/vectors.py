@@ -10,6 +10,10 @@ A tree is determined by any one of three count vectors:
   (everything except the leftmost point of each row) over the m reduced
   columns, ordered the same way.
 
+The column lengths and both column orders are shape data of the region,
+cached on :class:`alttamari.trees.GridRegion`; the functions here that
+return them only read the region.
+
 The down flushing algorithms reconstruct the tree from the column or the
 reduced column vector by filling columns right to left, bottom to top,
 skipping positions to the left of an already placed node that is not the
@@ -46,89 +50,65 @@ def row_vector(tree: GridTree) -> tuple[int, ...]:
 
 def column_order(region: GridRegion) -> tuple[int, ...]:
     """Column x-coordinates sorted by (length ascending, x descending)."""
-    xs = range(region.m + 1)
-    return tuple(sorted(xs, key=lambda x: (region.column_length(x), -x)))
+    return region.column_order
 
 
 def column_vector(tree: GridTree) -> tuple[int, ...]:
     cols = tree.by_column
-    return tuple(len(cols.get(x, ())) - 1 for x in column_order(tree.region))
+    return tuple(len(cols.get(x, ())) - 1 for x in tree.region.column_order)
 
 
 def relevant_points(region: GridRegion) -> tuple[frozenset[Point], frozenset[Point]]:
     """Partition the region's points into (relevant, non-relevant)."""
-    nonrelevant = region.nonrelevant_points
-    relevant = frozenset(p for p in region.points() if p not in nonrelevant)
-    return relevant, nonrelevant
+    nonrelevant = frozenset((lo, y) for y, lo in enumerate(region.row_lo))
+    return frozenset(region.points()) - nonrelevant, nonrelevant
 
 
 def reduced_column_length(region: GridRegion, x: int) -> int:
     """Number of relevant points in column x (zero for the leftmost column)."""
-    floor = region.column_floor[x]
-    while floor <= region.n and region.is_nonrelevant(x, floor):
-        floor += 1
-    return region.n - floor + 1
+    return region.reduced_column_lengths[x]
 
 
 def reduced_column_order(region: GridRegion) -> tuple[int, ...]:
     """The m reduced columns (x = 1..m), shortest first, right to left on ties."""
-    xs = range(1, region.m + 1)
-    return tuple(sorted(xs, key=lambda x: (reduced_column_length(region, x), -x)))
+    return region.reduced_column_order
 
 
 def reduced_column_vector(tree: GridTree) -> tuple[int, ...]:
-    region = tree.region
-    counts = []
-    for x in reduced_column_order(region):
-        ys = tree.by_column.get(x, ())
-        counts.append(sum(1 for y in ys if not region.is_nonrelevant(x, y)) - 1)
-    return tuple(counts)
+    return tuple(len(tree.relevant_column(x)) - 1 for x in tree.region.reduced_column_order)
+
+
+def _ballot_check(
+    v: tuple[int, ...], bounds: tuple[int, ...], what: str, letter: str, require_total: bool
+) -> Violation | None:
+    """Nonnegative entries whose prefix sums stay within those of bounds."""
+    if len(v) != len(bounds):
+        return Violation(0, None, f"{what} has {len(v)} entries, expected {len(bounds)}")
+    for i, entry in enumerate(v):
+        if entry < 0:
+            return Violation(1, i, f"condition (1): negative entry {letter}_{i}={entry}")
+    total = bound = 0
+    for j, (entry, cap) in enumerate(zip(v, bounds)):
+        total += entry
+        bound += cap
+        if total > bound:
+            return Violation(2, j, f"condition (2): prefix sum {total} > {bound} at j={j}")
+    if require_total and total != bound:
+        return Violation(3, None, f"condition (3): total {total} != {bound}")
+    return None
 
 
 def validate_row_vector(r: tuple[int, ...], nu: LatticePath) -> Violation | None:
-    comp = nu.composition
-    if len(r) != len(comp):
-        return Violation(0, None, f"row vector has {len(r)} entries, expected {len(comp)}")
-    for i, entry in enumerate(r):
-        if entry < 0:
-            return Violation(1, i, f"condition (1): negative entry r_{i}={entry}")
-    total_r = total_nu = 0
-    for j in range(len(r)):
-        total_r += r[j]
-        total_nu += comp[j]
-        if total_r > total_nu:
-            return Violation(2, j, f"condition (2): prefix sum {total_r} > {total_nu} at j={j}")
-    if total_r != total_nu:
-        return Violation(3, None, f"condition (3): total {total_r} != {total_nu}")
-    return None
-
-
-def _validate_against_reversed(
-    c: tuple[int, ...], nu: LatticePath, expected_len: int, require_total: bool
-) -> Violation | None:
-    if len(c) != expected_len:
-        return Violation(0, None, f"vector has {len(c)} entries, expected {expected_len}")
-    rev = reverse_path(nu).composition
-    for i, entry in enumerate(c):
-        if entry < 0:
-            return Violation(1, i, f"condition (1): negative entry c_{i}={entry}")
-    total_c = total_rev = 0
-    for j in range(len(c)):
-        total_c += c[j]
-        total_rev += rev[j]
-        if total_c > total_rev:
-            return Violation(2, j, f"condition (2): prefix sum {total_c} > {total_rev} at j={j}")
-    if require_total and total_c != sum(rev):
-        return Violation(3, None, f"condition (3): total {total_c} != {sum(rev)}")
-    return None
+    return _ballot_check(r, nu.composition, "row vector", "r", require_total=True)
 
 
 def validate_column_vector(c: tuple[int, ...], nu: LatticePath) -> Violation | None:
-    return _validate_against_reversed(c, nu, nu.m + 1, require_total=True)
+    return _ballot_check(c, reverse_path(nu).composition, "vector", "c", require_total=True)
 
 
 def validate_reduced_column_vector(c: tuple[int, ...], nu: LatticePath) -> Violation | None:
-    return _validate_against_reversed(c, nu, nu.m, require_total=False)
+    bounds = reverse_path(nu).composition[:-1]
+    return _ballot_check(c, bounds, "vector", "c", require_total=False)
 
 
 def down_flushing(c: tuple[int, ...], region: GridRegion) -> GridTree:
@@ -142,7 +122,7 @@ def down_flushing(c: tuple[int, ...], region: GridRegion) -> GridTree:
     problem = validate_column_vector(tuple(c), region.nu)
     if problem is not None:
         raise VectorValidationError(str(problem))
-    count_at = {x: c[i] + 1 for i, x in enumerate(column_order(region))}
+    count_at = {x: c[i] + 1 for i, x in enumerate(region.column_order)}
     return _flush_columns(region, lambda x: count_at[x], force_nonrelevant=False)
 
 
@@ -151,7 +131,7 @@ def reduced_down_flushing(c: tuple[int, ...], region: GridRegion) -> GridTree:
     problem = validate_reduced_column_vector(tuple(c), region.nu)
     if problem is not None:
         raise VectorValidationError(str(problem))
-    count_at = {x: c[i] + 1 for i, x in enumerate(reduced_column_order(region))}
+    count_at = {x: c[i] + 1 for i, x in enumerate(region.reduced_column_order)}
     return _flush_columns(region, lambda x: count_at.get(x, 0), force_nonrelevant=True)
 
 

@@ -5,14 +5,7 @@ from typing import Iterator
 import pytest
 
 from alttamari import IncrementVector, LatticePath, increment_box
-
-
-def all_base_paths(max_size: int) -> Iterator[LatticePath]:
-    """Every step word with at most max_size letters, the empty one included."""
-    for length in range(max_size + 1):
-        for bits in range(1 << length):
-            word = "".join("N" if bits >> i & 1 else "E" for i in range(length))
-            yield LatticePath(word)
+from alttamari.paths import all_base_paths
 
 
 def all_instances(max_size: int) -> Iterator[tuple[LatticePath, IncrementVector]]:

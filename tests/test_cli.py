@@ -165,3 +165,92 @@ def test_dot_output_stable(capsys):
     _, first, _ = run(capsys, "lattice", "--nu", "ENEEN", "--delta", "1,0", "--format", "dot")
     _, second, _ = run(capsys, "lattice", "--nu", "ENEEN", "--delta", "1,0", "--format", "dot")
     assert first == second
+
+
+def test_verify_rejects_negative_max_size(capsys):
+    code, out, err = run(capsys, "verify", "--max-size", "-1")
+    assert code == 2
+    assert out == ""
+    assert "--max-size" in err
+
+
+@pytest.mark.parametrize(
+    "content, needle",
+    [
+        (None, "No such file"),
+        ("{not json", "cannot read tree file"),
+        (json.dumps({"nu": "ENEEN", "delta": [2, 0]}), "lacks the key 'nodes'"),
+        (json.dumps([1, 2]), "holds no tree"),
+        (json.dumps({"nu": 5, "delta": [2, 0], "nodes": []}), "holds no tree"),
+        (json.dumps({"nu": "ENEEN", "delta": "2,0", "nodes": []}), "holds no tree"),
+        (json.dumps({"nu": "ENEEN", "delta": [2, 0], "nodes": [[0, 2, 1]]}), "holds no tree"),
+        (json.dumps({"nu": "ENXEN", "delta": [2, 0], "nodes": []}), "invalid step"),
+        (json.dumps({"nu": "ENEEN", "delta": [2, 0], "nodes": [[0, 2]]}), "expected 6"),
+    ],
+    ids=[
+        "missing", "bad-json", "no-nodes", "not-an-object", "nu-not-a-word",
+        "delta-not-a-list", "node-not-a-pair", "bad-nu", "not-a-tree",
+    ],
+)
+def test_flush_refuses_unreadable_tree_files(tmp_path, capsys, content, needle):
+    tree_file = tmp_path / "tree.json"
+    if content is not None:
+        tree_file.write_text(content)
+    code, out, err = run(capsys, "flush", "--nu", "ENEEN", "--delta", "2,0", "--tree", str(tree_file))
+    assert code == 3
+    assert out == ""
+    assert err.startswith("validation error: ") and needle in err
+
+
+def test_flush_does_not_hide_library_faults_as_input_faults(tmp_path, capsys, monkeypatch):
+    import alttamari.cli
+
+    _, out, _ = run(capsys, "flush", "--nu", "ENEN", "--delta", "1,0", "--path", "NEEN")
+    tree_file = tmp_path / "tree.json"
+    tree_file.write_text(out)
+
+    def broken(data):
+        raise TypeError("a fault in the library")
+
+    monkeypatch.setattr(alttamari.cli, "tree_from_json", broken)
+    with pytest.raises(TypeError, match="a fault in the library"):
+        alttamari.cli.main(["flush", "--nu", "ENEN", "--delta", "1,0", "--tree", str(tree_file)])
+
+
+@pytest.mark.parametrize("nu, delta", [("ENEEN", "2,0"), ("ENEN", "0,0")])
+def test_flush_refuses_a_tree_over_other_increments(tmp_path, capsys, nu, delta):
+    _, out, _ = run(capsys, "flush", "--nu", "ENEN", "--delta", "1,0", "--path", "NEEN")
+    tree_file = tmp_path / "tree.json"
+    tree_file.write_text(out)
+    code, out, err = run(capsys, "flush", "--nu", nu, "--delta", delta, "--tree", str(tree_file))
+    assert code == 3
+    assert out == ""
+    assert "lies over nu=ENEN delta=1,0" in err
+
+
+def assert_breach(code, out, err):
+    assert code == 4
+    assert out == ""
+    assert err.startswith("invariant breach: ")
+    assert "Traceback" not in err
+
+
+def test_census_breach_exits_4(monkeypatch, capsys):
+    import alttamari.order
+
+    monkeypatch.setattr(alttamari.order, "reduced_column_vector", lambda tree: ())
+    assert_breach(*run(capsys, "census", "--nu", "ENEEN", "--delta", "1,0"))
+
+
+@pytest.mark.parametrize("direction, flushing", [("h", "horizontal_flushing"), ("v", "vertical_flushing")])
+def test_transport_breach_exits_4(monkeypatch, capsys, direction, flushing):
+    import alttamari.cli
+    from alttamari.trees import bottom_tree, build_region
+
+    monkeypatch.setattr(
+        alttamari.cli, flushing, lambda tree, delta2: bottom_tree(build_region(tree.region.nu, delta2))
+    )
+    assert_breach(*run(
+        capsys, "transport", "--nu", "ENEEN", "--delta", "1,0", "--delta2", "0,0",
+        "--path", "0,0,3", "--direction", direction,
+    ))
