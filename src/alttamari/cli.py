@@ -4,7 +4,7 @@ Exit codes:
 
 * 0 success;
 * 2 usage errors: malformed path or increment literals, missing or
-  conflicting arguments, a negative ``--max-size``;
+  conflicting arguments, a negative ``--max-size``, a ``--sample`` below 2;
 * 3 validation errors on otherwise well-formed input: a path that is not
   weakly above nu, and a tree file that cannot be read, is not JSON, lacks
   a key, does not hold a tree of its region or lies over another nu or
@@ -22,7 +22,7 @@ import json
 import sys
 
 from . import oracle
-from .order import LatticeLawError, build_lattice
+from .order import Census, LatticeLawError, build_lattice
 from .paths import (
     ContractError,
     IncrementVector,
@@ -128,6 +128,8 @@ def cmd_verify(args) -> int:
         raise _Usage("verify needs --nu or --max-size")
     if args.max_size is not None and args.max_size < 0:
         raise _Usage(f"--max-size must be >= 0, got {args.max_size}")
+    if args.sample is not None and args.sample < 2:
+        raise _Usage(f"--sample must be >= 2, got {args.sample}")
     if args.nu is not None:
         failures += _verify_one(parse_path(args.nu), args)
     if args.max_size is not None:
@@ -137,31 +139,33 @@ def cmd_verify(args) -> int:
 
 
 def _verify_one(nu: LatticePath, args) -> int:
-    report = verify_theorem(nu, sample=args.sample, seed=args.seed)
+    failures, censuses = 0, None
+    if args.max_size is not None and nu.n > 0:
+        failures, censuses = _cross_check(nu)
+    report = verify_theorem(nu, sample=args.sample, seed=args.seed, censuses=censuses)
     status = "ok" if report.all_equal else "MISMATCH"
     print(
         f"{nu.word or '(empty)'}: {report.deltas_checked} deltas, "
         f"census {report.census.totals}, {status}"
     )
-    failures = 0 if report.all_equal else 1
-    if args.max_size is not None and nu.n > 0:
-        failures += _cross_check(nu)
-    return failures
+    return failures + (0 if report.all_equal else 1)
 
 
-def _cross_check(nu: LatticePath) -> int:
-    """Oracle census and lattice laws for every increment vector of nu."""
+def _cross_check(nu: LatticePath) -> tuple[int, dict[IncrementVector, Census]]:
+    """Lattice laws and oracle census of each delta of nu: (oracle mismatches, censuses)."""
     failures = 0
+    censuses = {}
     for delta in increment_box(nu):
         lattice = build_lattice(nu, delta)
         lattice.check_lattice_laws()
         covers = [(low, high) for low, high, _ in lattice.covers]
         matrix = oracle.closure_from_covers(len(lattice), covers)
         reference = oracle.oracle_census(matrix)
-        if tuple(lattice.census().totals) != reference:
+        census = censuses[delta] = lattice.census()
+        if census.totals != reference:
             print(f"  oracle mismatch at delta={delta.entries}", file=sys.stderr)
             failures += 1
-    return failures
+    return failures, censuses
 
 
 def cmd_flush(args) -> int:

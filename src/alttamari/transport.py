@@ -120,31 +120,34 @@ class TheoremReport:
 
 
 def verify_theorem(
-    nu: LatticePath, sample: int | None = None, seed: int = 0
+    nu: LatticePath, sample: int | None = None, seed: int = 0, censuses: dict | None = None
 ) -> TheoremReport:
     """Census every lattice of the increment box of nu and compare.
 
-    With ``sample`` set, at most that many increment vectors are drawn
-    (seeded, always keeping the all-zero and maximal ones); otherwise the
-    full box is swept.
+    With ``sample`` set (at least 2, else ``ContractError``), at most that
+    many increment vectors are drawn (seeded, always keeping the all-zero
+    and maximal ones); otherwise the full box is swept.  ``censuses`` maps
+    increment vectors to censuses the caller already holds; when given, it
+    must hold every vector compared, and no lattice is built.
     """
+    if sample is not None and sample < 2:
+        raise ContractError(f"sample must be >= 2, got {sample}")
     deltas = list(increment_box(nu))
     if sample is not None and len(deltas) > sample:
         rng = random.Random(seed)
         keep = {0, len(deltas) - 1}
-        while len(keep) < max(2, sample):
+        while len(keep) < sample:
             keep.add(rng.randrange(len(deltas)))
         deltas = [deltas[i] for i in sorted(keep)]
-    reference: Census | None = None
-    mismatches: list[str] = []
-    for delta in deltas:
-        census = build_lattice(nu, delta).census()
-        if reference is None:
-            reference = census
-        elif census != reference:
-            mismatches.append(f"delta={delta.entries}: {census} != {reference}")
-    assert reference is not None
-    return TheoremReport(nu, len(deltas), reference, not mismatches, tuple(mismatches))
+    if censuses is None:
+        censuses = {delta: build_lattice(nu, delta).census() for delta in deltas}
+    reference = censuses[deltas[0]]
+    mismatches = tuple(
+        f"delta={delta.entries}: {censuses[delta]} != {reference}"
+        for delta in deltas[1:]
+        if censuses[delta] != reference
+    )
+    return TheoremReport(nu, len(deltas), reference, not mismatches, mismatches)
 
 
 @dataclass(frozen=True)

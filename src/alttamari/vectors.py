@@ -136,17 +136,10 @@ def reduced_down_flushing(c: tuple[int, ...], region: GridRegion) -> GridTree:
 
 
 def _flush_columns(region: GridRegion, count_at, force_nonrelevant: bool) -> GridTree:
-    # blocked[y] = largest x whose node blocks row y; positions strictly left
-    # of it are unavailable.
-    blocked: dict[int, int] = {}
+    blocked: set[int] = set()
     nodes: list[Point] = []
     for x in range(region.m, -1, -1):
-        floor = region.column_floor[x]
-        free = [
-            y
-            for y in range(floor, region.n + 1)
-            if blocked.get(y, -1) <= x
-        ]
+        free = [y for y in range(region.column_floor[x], region.n + 1) if y not in blocked]
         placed: list[int] = []
         if force_nonrelevant:
             placed.extend(y for y in free if region.is_nonrelevant(x, y))
@@ -158,7 +151,5 @@ def _flush_columns(region: GridRegion, count_at, force_nonrelevant: bool) -> Gri
         placed.extend(take)
         placed.sort()
         nodes.extend((x, y) for y in placed)
-        for y in placed[:-1]:
-            if blocked.get(y, -1) < x:
-                blocked[y] = x
+        blocked.update(placed[:-1])  # all but the topmost; columns further left skip these rows
     return GridTree(region, frozenset(nodes))

@@ -174,6 +174,34 @@ def test_verify_rejects_negative_max_size(capsys):
     assert "--max-size" in err
 
 
+@pytest.mark.parametrize("sample", ["1", "0", "-3"])
+def test_verify_rejects_samples_below_two(capsys, sample):
+    code, out, err = run(capsys, "verify", "--nu", "NEENEENEE", "--sample", sample)
+    assert code == 2
+    assert out == ""
+    assert err == f"usage error: --sample must be >= 2, got {sample}\n"
+
+
+def test_verify_sweep_builds_each_lattice_once(capsys, monkeypatch):
+    import alttamari.cli
+    import alttamari.transport
+    from alttamari.order import build_lattice
+    from alttamari.paths import all_base_paths, increment_box
+
+    built = []
+
+    def counting(nu, delta):
+        built.append(delta)
+        return build_lattice(nu, delta)
+
+    for module in (alttamari.cli, alttamari.transport):
+        monkeypatch.setattr(module, "build_lattice", counting)
+    code, _, _ = run(capsys, "verify", "--max-size", "3", "--sample", "2")
+    assert code == 0
+    assert len(built) == sum(len(list(increment_box(nu))) for nu in all_base_paths(3))
+    assert len(set(built)) == len(built)
+
+
 @pytest.mark.parametrize(
     "content, needle",
     [

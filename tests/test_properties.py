@@ -25,12 +25,13 @@ from alttamari.order import (
     left_witness,
     right_witness,
 )
-from alttamari.oracle import count_paths_above
+from alttamari.oracle import count_paths_above, dyck_marked_counts
 
 MAX_SIZE = 14
 # Lattices built per example stay this small; the unbuilt properties use
 # every base path up to MAX_SIZE, whose lattices reach C(14, 7) = 3,432.
 MAX_LATTICE_ELEMENTS = 200
+MAX_CENSUS_ELEMENTS = 500
 
 
 @st.composite
@@ -104,3 +105,14 @@ def test_witnesses_agree_with_classify(data):
             assert record.witness == left_witness(bottom, tree, 1)
         else:
             assert (record.kind, record.length, record.witness) == (RIGHT, length, ell)
+
+
+@settings(max_examples=40)
+@given(instances(MAX_CENSUS_ELEMENTS))
+def test_census_matches_marked_path_counts_for_every_delta(instance):
+    nu, delta = instance
+    census = build_lattice(nu, delta).census()
+    for length in range(1, len(nu.word) + 1):
+        left = census.left[length - 1] if length <= len(census.left) else 0
+        right = census.right[length - 1] if length <= len(census.right) else 0
+        assert (left, right) == dyck_marked_counts(nu.word, length), length

@@ -24,7 +24,7 @@ from alttamari import (
     vertical_flushing,
 )
 from alttamari import oracle
-from alttamari.order import apply_horizontal, apply_vertical
+from alttamari.order import Census, apply_horizontal, apply_vertical
 from alttamari.paths import is_weakly_above
 from alttamari.transport import bad_bases
 from alttamari.vectors import reduced_column_vector, row_vector
@@ -160,6 +160,26 @@ def test_verify_theorem_sampling(eneen):
     assert sampled.census == full.census
     again = verify_theorem(nu, sample=4, seed=7)
     assert again.deltas_checked == 4
+
+
+@pytest.mark.parametrize("sample", [1, 0, -3])
+def test_verify_theorem_refuses_samples_below_two(sample):
+    with pytest.raises(ContractError, match="sample must be >= 2"):
+        verify_theorem(LatticePath("NEENEENEE"), sample=sample)
+
+
+def test_verify_theorem_reads_given_censuses(eneen, monkeypatch):
+    import alttamari.transport
+
+    expected = verify_theorem(eneen)
+    censuses = {delta: build_lattice(eneen, delta).census() for delta in increment_box(eneen)}
+    monkeypatch.setattr(alttamari.transport, "build_lattice", lambda nu, delta: pytest.fail("rebuilt"))
+    assert verify_theorem(eneen, censuses=censuses) == expected
+    single = Census((1,), (), ())
+    censuses[IncrementVector.maximal(eneen)] = single
+    report = verify_theorem(eneen, censuses=censuses)
+    assert not report.all_equal
+    assert report.mismatches == (f"delta=(2, 0): {single} != {expected.census}",)
 
 
 def test_verify_theorem_report_json(eneen):
