@@ -20,8 +20,6 @@ from .paths import (
     PathSyntaxError,
     Valley,
     ambient_base,
-    delta_altitude_profile,
-    delta_excursion,
     delta_rotate,
     enumerate_nu_paths,
     increment_box,
@@ -57,7 +55,6 @@ from .trees import (
 )
 from .vectors import (
     VectorValidationError,
-    column_order,
     column_vector,
     down_flushing,
     reduced_column_order,

@@ -4,7 +4,8 @@ Exit codes:
 
 * 0 success;
 * 2 usage errors: malformed path or increment literals, missing or
-  conflicting arguments, a negative ``--max-size``, a ``--sample`` below 2;
+  conflicting arguments, a negative ``--max-size``, a ``--sample`` below 2,
+  an ``mtamari-check --m`` or ``--n`` below 1;
 * 3 validation errors on otherwise well-formed input: a path that is not
   weakly above nu, and a tree file that cannot be read, is not JSON, lacks
   a key, does not hold a tree of its region or lies over another nu or
@@ -130,11 +131,13 @@ def cmd_verify(args) -> int:
         raise _Usage(f"--max-size must be >= 0, got {args.max_size}")
     if args.sample is not None and args.sample < 2:
         raise _Usage(f"--sample must be >= 2, got {args.sample}")
-    if args.nu is not None:
-        failures += _verify_one(parse_path(args.nu), args)
+    requested = None if args.nu is None else parse_path(args.nu)
+    if requested is not None:
+        failures += _verify_one(requested, args)
     if args.max_size is not None:
         for nu in all_base_paths(args.max_size):
-            failures += _verify_one(nu, args)
+            if nu != requested:
+                failures += _verify_one(nu, args)
     return INVARIANT_BREACH if failures else 0
 
 
@@ -255,6 +258,9 @@ def cmd_transport(args) -> int:
 
 
 def cmd_mtamari_check(args) -> int:
+    for name, value in (("m", args.m), ("n", args.n)):
+        if value < 1:
+            raise _Usage(f"--{name} must be >= 1, got {value}")
     base = mtamari_path(args.m, args.n)
     lattice = build_lattice(base, IncrementVector.maximal(base))
     census = lattice.census()

@@ -149,8 +149,8 @@ class FiniteLattice:
         covers = []
         for low, mu in enumerate(self.elements):
             for ordinal, valley in enumerate(valleys(mu.path)):
-                rotated = delta_rotate(mu, self.delta, valley)
-                covers.append((low, self._ids[rotated.composition], ordinal))
+                high = self._ids[delta_rotate(mu.composition, self.delta, valley.point[1])]
+                covers.append((low, high, ordinal))
         covers.sort()
         return tuple(covers)
 

@@ -9,9 +9,17 @@ path nu that stays weakly above it.
 An increment vector delta = (delta_1, ..., delta_n) with 0 <= delta_i <=
 nu_i selects one alt nu-Tamari lattice.  The covering moves of that
 lattice are the delta-rotations implemented here: the east step of a
-valley is exchanged with the delta-excursion that follows it.  delta = 0
-gives plain valley flips (the nu-Dyck lattice) and delta_i = nu_i gives
-the nu-Tamari rotations.
+valley is exchanged with the delta-excursion that follows it, where a
+north step N_i adds delta_i to the elevation and an east step takes 1
+off.  delta = 0 gives plain valley flips (the nu-Dyck lattice) and
+delta_i = nu_i gives the nu-Tamari rotations.
+
+On compositions a rotation moves one east step.  A valley ending row j
+(mu_j > 0, j < n) starts an excursion at the north step into row j + 1;
+the excursion ends on the first row k > j whose delta_k brings the
+running elevation to at most mu_k, and the rotated path has mu_j - 1 and
+mu_k + 1.  Since the step moves to a strictly higher row, the rotated
+path lies strictly above the old one and stays weakly above nu.
 """
 
 from __future__ import annotations
@@ -249,74 +257,34 @@ def enumerate_nu_paths(nu: LatticePath) -> list[NuPath]:
     return [NuPath(LatticePath.from_composition(comp), nu) for comp in results]
 
 
-def delta_altitude_profile(mu: NuPath, delta: IncrementVector) -> tuple[int, ...]:
-    """Running altitude along mu: +delta_i at the i-th north step, -1 at each east step."""
-    _check_bound(mu, delta)
-    profile = [0]
-    norths = 0
-    for ch in mu.path.word:
-        if ch == NORTH:
-            norths += 1
-            profile.append(profile[-1] + delta.entries[norths - 1])
-        else:
-            profile.append(profile[-1] - 1)
-    return tuple(profile)
+def delta_rotate(composition: tuple[int, ...], delta: IncrementVector, row: int) -> tuple[int, ...]:
+    """Rotate at the valley ending row ``row``: one east step moves up to the excursion's end.
 
-
-def delta_excursion(mu: NuPath, delta: IncrementVector, north_ordinal: int) -> range:
-    """Half-open step range of the excursion starting at the given north step.
-
-    The excursion is the shortest subpath starting at the north_ordinal-th
-    north step (1-based) whose total elevation is zero, where a north step
-    N_i contributes +delta_i and an east step -1.
+    The excursion starts with the north step leaving ``row``.  Walking up
+    from the next row with elevation 0, row k adds delta_k; if the
+    elevation is then at most mu_k, the excursion ends on row k, which
+    gains the east step the valley row loses.  Otherwise row k's east steps
+    take mu_k off the elevation and the walk goes on.
     """
-    _check_bound(mu, delta)
-    word = mu.path.word
-    if not 1 <= north_ordinal <= mu.path.n:
-        raise ContractError(f"no north step number {north_ordinal} in {word!r}")
-    seen = 0
-    start = -1
-    for i, ch in enumerate(word):
-        if ch == NORTH:
-            seen += 1
-            if seen == north_ordinal:
-                start = i
-                break
+    n = delta.nu.n
+    if len(composition) != n + 1:
+        raise ContractError(
+            f"composition {composition} has {len(composition)} entries, "
+            f"base has {n} north steps"
+        )
+    if not (0 <= row < n and composition[row] > 0):
+        raise ContractError(f"the end of row {row} of {composition} is not a valley")
+    entries = delta.entries
     elevation = 0
-    ordinal = north_ordinal - 1
-    for j in range(start, len(word)):
-        if word[j] == NORTH:
-            ordinal += 1
-            elevation += delta.entries[ordinal - 1]
-        else:
-            elevation -= 1
-        if elevation == 0:
-            return range(start, j + 1)
-    raise ContractError(
-        f"elevation never returns to zero after north step {north_ordinal} of {word!r}"
-    )
-
-
-def area_below(path: LatticePath) -> int:
-    """Boxes between the path and the south-east corner of its bounding rectangle."""
-    m = path.m
-    return sum(m - p for p in path.east_prefixes[:-1])
-
-
-def delta_rotate(mu: NuPath, delta: IncrementVector, valley: Valley) -> NuPath:
-    """Exchange the valley's east step with the excursion that follows it."""
-    _check_bound(mu, delta)
-    word = mu.path.word
-    i = valley.index
-    if not (0 <= i < len(word) - 1 and word[i] == EAST and word[i + 1] == NORTH):
-        raise ContractError(f"step {i} of {word!r} is not a valley")
-    north_ordinal = word[: i + 2].count(NORTH)
-    span = delta_excursion(mu, delta, north_ordinal)
-    rotated = word[:i] + word[span.start : span.stop] + EAST + word[span.stop :]
-    result = NuPath(LatticePath(rotated), mu.base)
-    if area_below(result.path) <= area_below(mu.path):
-        raise ContractError(f"rotation at step {i} of {word!r} did not raise the path")
-    return result
+    for k in range(row + 1, n + 1):
+        elevation += entries[k - 1]
+        if elevation <= composition[k]:
+            rotated = list(composition)
+            rotated[row] -= 1
+            rotated[k] += 1
+            return tuple(rotated)
+        elevation -= composition[k]
+    raise ContractError(f"elevation never returns to zero after row {row} of {composition}")
 
 
 def ambient_base(nu: LatticePath, delta: IncrementVector) -> LatticePath:
@@ -329,13 +297,6 @@ def ambient_base(nu: LatticePath, delta: IncrementVector) -> LatticePath:
     _check_nu(nu, delta)
     head = nu.m - sum(delta.entries)
     return LatticePath.from_composition((head,) + delta.entries)
-
-
-def _check_bound(mu: NuPath, delta: IncrementVector) -> None:
-    if delta.nu != mu.base:
-        raise ContractError(
-            f"increment vector is bound to {delta.nu.word!r}, path lies over {mu.base.word!r}"
-        )
 
 
 def _check_nu(nu: LatticePath, delta: IncrementVector) -> None:

@@ -11,8 +11,8 @@ A tree is determined by any one of three count vectors:
   columns, ordered the same way.
 
 The column lengths and both column orders are shape data of the region,
-cached on :class:`alttamari.trees.GridRegion`; the functions here that
-return them only read the region.
+cached on :class:`alttamari.trees.GridRegion`; ``reduced_column_order``
+here only reads the region.
 
 The down flushing algorithms reconstruct the tree from the column or the
 reduced column vector by filling columns right to left, bottom to top,
@@ -48,11 +48,6 @@ def row_vector(tree: GridTree) -> tuple[int, ...]:
     return tuple(len(tree.by_row[y]) - 1 for y in range(tree.region.n + 1))
 
 
-def column_order(region: GridRegion) -> tuple[int, ...]:
-    """Column x-coordinates sorted by (length ascending, x descending)."""
-    return region.column_order
-
-
 def column_vector(tree: GridTree) -> tuple[int, ...]:
     cols = tree.by_column
     return tuple(len(cols.get(x, ())) - 1 for x in tree.region.column_order)
@@ -62,11 +57,6 @@ def relevant_points(region: GridRegion) -> tuple[frozenset[Point], frozenset[Poi
     """Partition the region's points into (relevant, non-relevant)."""
     nonrelevant = frozenset((lo, y) for y, lo in enumerate(region.row_lo))
     return frozenset(region.points()) - nonrelevant, nonrelevant
-
-
-def reduced_column_length(region: GridRegion, x: int) -> int:
-    """Number of relevant points in column x (zero for the leftmost column)."""
-    return region.reduced_column_lengths[x]
 
 
 def reduced_column_order(region: GridRegion) -> tuple[int, ...]:

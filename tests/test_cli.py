@@ -49,6 +49,22 @@ def test_lattice_single_node(capsys):
     assert doc["covers"] == []
 
 
+def test_lattice_text_lists_covers_with_valley_ordinals(capsys):
+    code, out, err = run(capsys, "lattice", "--nu", "ENEEN", "--delta", "1,0", "--format", "text")
+    assert (code, err) == (0, "")
+    assert out.splitlines() == [
+        "nu=ENEEN delta=1,0 elements=7 covers=8",
+        "ENEEN -> ENENE (valley 1)",
+        "ENEEN -> NEEEN (valley 0)",
+        "ENENE -> ENNEE (valley 1)",
+        "ENENE -> NEENE (valley 0)",
+        "ENNEE -> NNEEE (valley 0)",
+        "NEEEN -> NEENE (valley 0)",
+        "NEENE -> NENEE (valley 0)",
+        "NENEE -> NNEEE (valley 0)",
+    ]
+
+
 def test_lattice_rejects_bad_delta(capsys):
     code, _, err = run(capsys, "lattice", "--nu", "ENEEN", "--delta", "3,0", "--format", "json")
     assert code == 2
@@ -150,6 +166,28 @@ def test_mtamari_check(capsys):
     assert "MISMATCH" not in out
 
 
+@pytest.mark.parametrize(
+    "m, n, message",
+    [
+        ("2", "0", "--n must be >= 1, got 0"),
+        ("2", "-2", "--n must be >= 1, got -2"),
+        ("0", "3", "--m must be >= 1, got 0"),
+        ("-1", "3", "--m must be >= 1, got -1"),
+    ],
+)
+def test_mtamari_check_rejects_sizes_below_one(capsys, monkeypatch, m, n, message):
+    import alttamari.cli
+
+    def refuse(nu, delta):
+        raise AssertionError("no lattice may be built for a usage error")
+
+    monkeypatch.setattr(alttamari.cli, "build_lattice", refuse)
+    code, out, err = run(capsys, "mtamari-check", "--m", m, "--n", n)
+    assert code == 2
+    assert out == ""
+    assert err == f"usage error: {message}\n"
+
+
 def test_json_outputs_round_trip(tmp_path, capsys):
     out_file = tmp_path / "lat.json"
     code, _, _ = run(
@@ -200,6 +238,14 @@ def test_verify_sweep_builds_each_lattice_once(capsys, monkeypatch):
     assert code == 0
     assert len(built) == sum(len(list(increment_box(nu))) for nu in all_base_paths(3))
     assert len(set(built)) == len(built)
+
+
+def test_verify_checks_a_requested_path_inside_the_sweep_once(capsys):
+    code, out, _ = run(capsys, "verify", "--nu", "NE", "--max-size", "2")
+    assert code == 0
+    lines = out.splitlines()
+    assert len(lines) == 7  # every word with at most 2 steps
+    assert [line.split(":")[0] for line in lines].count("NE") == 1
 
 
 @pytest.mark.parametrize(

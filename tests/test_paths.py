@@ -9,8 +9,6 @@ from alttamari import (
     NuPath,
     PathSyntaxError,
     ambient_base,
-    delta_altitude_profile,
-    delta_excursion,
     delta_rotate,
     enumerate_nu_paths,
     increment_box,
@@ -20,7 +18,7 @@ from alttamari import (
     valleys,
 )
 from alttamari.oracle import count_paths_above, naive_rotations
-from alttamari.paths import area_below, is_weakly_above
+from alttamari.paths import is_weakly_above
 
 from conftest import all_base_paths
 
@@ -113,72 +111,40 @@ def test_nu_path_validation(eneen):
         NuPath(LatticePath("EN"), eneen)
 
 
-def test_altitude_profile_examples(eneen):
-    mu = NuPath(eneen, eneen)
-    assert delta_altitude_profile(mu, IncrementVector((1, 0), eneen)) == (0, -1, 0, -1, -2, -2)
-    assert delta_altitude_profile(mu, IncrementVector((0, 0), eneen)) == (0, -1, -1, -2, -3, -3)
+def _area_below(path: LatticePath) -> int:
+    """Boxes between the path and the south-east corner of its bounding rectangle."""
+    return sum(path.m - p for p in path.east_prefixes[:-1])
 
 
-@given(words)
-def test_maximal_increments_shift_profile(word):
-    # with the maximal increments, the altitude is the plain horizontal
-    # distance to the base path shifted by -nu_0
-    nu = LatticePath(word)
-    for mu in enumerate_nu_paths(nu):
-        profile = delta_altitude_profile(mu, IncrementVector.maximal(nu))
-        x = y = 0
-        distances = []
-        for ch in "s" + mu.path.word:  # sentinel makes the loop emit the start
-            if ch == "N":
-                y += 1
-            elif ch == "E":
-                x += 1
-            distances.append(nu.east_prefixes[y] - x)
-        assert profile == tuple(d - nu.composition[0] for d in distances)
-
-
-def test_excursion_examples(eneen):
-    mu = NuPath(eneen, eneen)
-    assert delta_excursion(mu, IncrementVector((1, 0), eneen), 1) == range(1, 3)
-    assert delta_excursion(mu, IncrementVector((2, 0), eneen), 1) == range(1, 4)
-    assert delta_excursion(mu, IncrementVector((0, 0), eneen), 2) == range(4, 5)
-
-
-def test_excursion_prefix_elevations(eneen):
-    # proper nonempty prefixes of an excursion keep strictly positive elevation
-    for nu in all_base_paths(6):
-        for delta in increment_box(nu):
-            for mu in enumerate_nu_paths(nu):
-                for ordinal in range(1, nu.n + 1):
-                    span = delta_excursion(mu, delta, ordinal)
-                    elev = 0
-                    seen = mu.path.word[: span.start].count("N")
-                    for j in range(span.start, span.stop - 1):
-                        if mu.path.word[j] == "N":
-                            elev += delta.entries[seen]
-                            seen += 1
-                        else:
-                            elev -= 1
-                        assert elev > 0
+def _rotated_path(mu: NuPath, delta: IncrementVector, valley) -> LatticePath:
+    return LatticePath.from_composition(delta_rotate(mu.composition, delta, valley.point[1]))
 
 
 def test_rotation_examples(eneen):
-    mu = NuPath(eneen, eneen)
     vs = valleys(eneen)
     assert [v.index for v in vs] == [0, 3]
     assert vs[0].point == (1, 0)
     d10 = IncrementVector((1, 0), eneen)
-    assert delta_rotate(mu, d10, vs[0]).composition == (0, 3, 0)
-    assert delta_rotate(mu, d10, vs[1]).composition == (1, 1, 1)
-    assert delta_rotate(mu, IncrementVector((0, 0), eneen), vs[0]).composition == (0, 3, 0)
+    assert delta_rotate(eneen.composition, d10, vs[0].point[1]) == (0, 3, 0)
+    assert delta_rotate(eneen.composition, d10, vs[1].point[1]) == (1, 1, 1)
+    d00 = IncrementVector((0, 0), eneen)
+    assert delta_rotate(eneen.composition, d00, vs[0].point[1]) == (0, 3, 0)
 
 
 def test_rotation_rejects_non_valley(eneen):
-    mu = NuPath(eneen, eneen)
-    from alttamari.paths import Valley
-
+    d10 = IncrementVector((1, 0), eneen)
     with pytest.raises(ContractError, match="not a valley"):
-        delta_rotate(mu, IncrementVector((1, 0), eneen), Valley(1, (1, 1)))
+        delta_rotate((1, 2, 0), d10, 2)  # the last row ends the path
+    with pytest.raises(ContractError, match="not a valley"):
+        delta_rotate((0, 3, 0), d10, 0)  # no east step before the first north step
+
+
+def test_rotation_rejects_compositions_outside_its_domain(eneen):
+    d10 = IncrementVector((1, 0), eneen)
+    with pytest.raises(ContractError, match="2 north steps"):
+        delta_rotate((1, 2), d10, 0)
+    with pytest.raises(ContractError, match="never returns"):
+        delta_rotate((3, 0, 0), d10, 0)  # below nu: the elevation stays positive
 
 
 def test_rotations_raise_area_and_stay_above():
@@ -186,9 +152,9 @@ def test_rotations_raise_area_and_stay_above():
         for delta in increment_box(nu):
             for mu in enumerate_nu_paths(nu):
                 for valley in valleys(mu.path):
-                    rotated = delta_rotate(mu, delta, valley)
-                    assert area_below(rotated.path) > area_below(mu.path)
-                    assert is_weakly_above(rotated.path, nu)
+                    rotated = _rotated_path(mu, delta, valley)
+                    assert _area_below(rotated) > _area_below(mu.path)
+                    assert is_weakly_above(rotated, nu)
 
 
 def test_zero_increments_flip_single_valley():
@@ -196,10 +162,10 @@ def test_zero_increments_flip_single_valley():
         delta = IncrementVector.zero(nu)
         for mu in enumerate_nu_paths(nu):
             for valley in valleys(mu.path):
-                rotated = delta_rotate(mu, delta, valley)
+                rotated = _rotated_path(mu, delta, valley)
                 i = valley.index
                 word = mu.path.word
-                assert rotated.path.word == word[:i] + "N" + "E" + word[i + 2 :]
+                assert rotated.word == word[:i] + "N" + "E" + word[i + 2 :]
 
 
 def test_rotations_agree_with_naive_oracle():
@@ -208,8 +174,7 @@ def test_rotations_agree_with_naive_oracle():
             for mu in enumerate_nu_paths(nu):
                 expected = naive_rotations(mu.path.word, delta.entries)
                 got = [
-                    (k, delta_rotate(mu, delta, v).path.word)
-                    for k, v in enumerate(valleys(mu.path))
+                    (k, _rotated_path(mu, delta, v).word) for k, v in enumerate(valleys(mu.path))
                 ]
                 assert got == expected
 
@@ -222,10 +187,10 @@ def test_rotations_coincide_with_ambient_base_rotations():
             ambient = ambient_base(nu, delta)
             ambient_delta = IncrementVector.maximal(ambient)
             for mu in enumerate_nu_paths(nu):
-                recast = NuPath(mu.path, ambient)
                 for valley in valleys(mu.path):
-                    ours = delta_rotate(mu, delta, valley).path
-                    theirs = delta_rotate(recast, ambient_delta, valley).path
+                    row = valley.point[1]
+                    ours = delta_rotate(mu.composition, delta, row)
+                    theirs = delta_rotate(mu.composition, ambient_delta, row)
                     assert ours == theirs
 
 

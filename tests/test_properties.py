@@ -10,12 +10,15 @@ from alttamari import (
     build_lattice,
     build_region,
     column_vector,
+    delta_rotate,
     down_flushing,
+    enumerate_nu_paths,
     left_intervals_from,
     reduced_column_vector,
     reduced_down_flushing,
     right_flushing,
     right_intervals_to,
+    valleys,
 )
 from alttamari.order import (
     LEFT,
@@ -25,13 +28,14 @@ from alttamari.order import (
     left_witness,
     right_witness,
 )
-from alttamari.oracle import count_paths_above, dyck_marked_counts
+from alttamari.oracle import count_paths_above, dyck_marked_counts, naive_rotations
 
 MAX_SIZE = 14
 # Lattices built per example stay this small; the unbuilt properties use
 # every base path up to MAX_SIZE, whose lattices reach C(14, 7) = 3,432.
 MAX_LATTICE_ELEMENTS = 200
 MAX_CENSUS_ELEMENTS = 500
+MAX_ROTATED_PATHS = 500
 
 
 @st.composite
@@ -116,3 +120,15 @@ def test_census_matches_marked_path_counts_for_every_delta(instance):
         left = census.left[length - 1] if length <= len(census.left) else 0
         right = census.right[length - 1] if length <= len(census.right) else 0
         assert (left, right) == dyck_marked_counts(nu.word, length), length
+
+
+@settings(max_examples=40)
+@given(instances(MAX_ROTATED_PATHS))
+def test_rotations_on_compositions_match_word_rotations(instance):
+    nu, delta = instance
+    for mu in enumerate_nu_paths(nu):
+        rotated = [
+            delta_rotate(mu.composition, delta, valley.point[1]) for valley in valleys(mu.path)
+        ]
+        words = [LatticePath.from_composition(comp).word for comp in rotated]
+        assert list(enumerate(words)) == naive_rotations(mu.path.word, delta.entries)

@@ -254,7 +254,8 @@ def test_rotation_correspondence_with_path_rotation():
         for mu in enumerate_nu_paths(nu):
             tree = right_flushing(mu, region)
             for valley in valleys(mu.path):
-                rotated_path = delta_rotate(mu, delta, valley)
+                rotated = delta_rotate(mu.composition, delta, valley.point[1])
+                rotated_path = NuPath(LatticePath.from_composition(rotated), nu)
                 rotated_tree = right_flushing(rotated_path, region)
                 moved_out = tree.nodes - rotated_tree.nodes
                 moved_in = rotated_tree.nodes - tree.nodes

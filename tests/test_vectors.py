@@ -7,7 +7,6 @@ from alttamari import (
     LatticePath,
     NuPath,
     build_region,
-    column_order,
     column_vector,
     down_flushing,
     enumerate_nu_paths,
@@ -25,7 +24,7 @@ from alttamari import (
     validate_row_vector,
 )
 from alttamari.trees import GridTree, bottom_tree
-from alttamari.vectors import VectorValidationError, reduced_column_length
+from alttamari.vectors import VectorValidationError
 
 from conftest import all_base_paths, all_instances
 
@@ -50,19 +49,19 @@ def test_row_vector_is_left_flushing_composition():
 
 
 def test_column_order_examples(eneen):
-    assert column_order(build_region(eneen, IncrementVector((2, 0), eneen))) == (3, 2, 1, 0)
-    assert column_order(build_region(eneen, IncrementVector((0, 0), eneen))) == (1, 0, 3, 2)
+    assert build_region(eneen, IncrementVector((2, 0), eneen)).column_order == (3, 2, 1, 0)
+    assert build_region(eneen, IncrementVector((0, 0), eneen)).column_order == (1, 0, 3, 2)
 
 
 def test_column_lengths_match_figure_caption(eneen):
     # the middle region of ENEEN: ordered column lengths 1,1,2,2 and ordered
     # reduced column lengths 1,1,2, counted in unit segments
     region = build_region(eneen, IncrementVector((1, 0), eneen))
-    assert column_order(region) == (3, 0, 2, 1)
-    assert tuple(region.column_length(x) - 1 for x in column_order(region)) == (1, 1, 2, 2)
+    assert region.column_order == (3, 0, 2, 1)
+    assert tuple(region.column_length(x) - 1 for x in region.column_order) == (1, 1, 2, 2)
     assert reduced_column_order(region) == (3, 1, 2)
     assert tuple(
-        reduced_column_length(region, x) - 1 for x in reduced_column_order(region)
+        region.reduced_column_lengths[x] - 1 for x in reduced_column_order(region)
     ) == (1, 1, 2)
 
 
