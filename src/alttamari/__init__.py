@@ -1,12 +1,7 @@
 """Alt nu-Tamari lattices and their linear intervals."""
 
 from .order import (
-    Census,
-    FiniteLattice,
-    HorizontalL,
-    IntervalRecord,
     LatticeLawError,
-    VerticalL,
     build_lattice,
     extension_check,
     left_intervals_from,
@@ -18,7 +13,6 @@ from .paths import (
     LatticePath,
     NuPath,
     PathSyntaxError,
-    Valley,
     ambient_base,
     delta_rotate,
     enumerate_nu_paths,
@@ -29,8 +23,6 @@ from .paths import (
     valleys,
 )
 from .transport import (
-    RestrictedReport,
-    TheoremReport,
     horizontal_flushing,
     mtamari_path,
     mtamari_right_formula,
@@ -41,8 +33,6 @@ from .transport import (
     vertical_flushing,
 )
 from .trees import (
-    GridRegion,
-    GridTree,
     RotationError,
     RotationLeavesRegion,
     build_region,
@@ -54,7 +44,6 @@ from .trees import (
     tree_rotation_down,
 )
 from .vectors import (
-    VectorValidationError,
     column_vector,
     down_flushing,
     reduced_column_order,

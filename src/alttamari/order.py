@@ -20,6 +20,7 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
+from typing import Iterable
 
 from .paths import (
     ContractError,
@@ -129,6 +130,27 @@ def _count_at_least(histogram: Counter, longest: int) -> list[int]:
     return counts
 
 
+def census_from_entries(
+    size: int, row_entries: Iterable[int], column_entries: Iterable[int]
+) -> Census:
+    """Linear interval counts of a poset of ``size`` elements from its entries.
+
+    A row entry r is the bottom of one left interval of each length 1..r,
+    a column entry c the top of one right interval of each length 1..c.
+    Length-1 intervals are the covers, counted once from each side, so
+    the two counts must agree.
+    """
+    rows = Counter(row_entries)
+    columns = Counter(column_entries)
+    longest = max(chain(rows, columns), default=0)
+    left = _count_at_least(rows, longest)
+    right = _count_at_least(columns, longest)
+    if left[:1] != right[:1]:
+        raise LatticeLawError(f"length-1 counts disagree: left={left[0]} right={right[0]}")
+    totals = [size] + left[:1] + [a + b for a, b in zip(left[1:], right[1:])]
+    return Census(tuple(totals), tuple(left), tuple(right))
+
+
 class FiniteLattice:
     """One alt nu-Tamari lattice, fully materialized."""
 
@@ -161,27 +183,22 @@ class FiniteLattice:
         for low, high, _ in self.covers:
             succ[low] |= 1 << high
             pred[high] |= 1 << low
-        up = [0] * size
-        down = [0] * size
+
+        def close(neighbours: list[int], order: range) -> list[int]:
+            closed = [0] * size
+            for i in order:
+                acc = 1 << i
+                rest = neighbours[i]
+                while rest:
+                    j = rest & -rest
+                    acc |= closed[j.bit_length() - 1]
+                    rest ^= j
+                closed[i] = acc
+            return closed
+
         # canonical order is a linear extension: covers go from lower to
         # higher ids, so one sweep per direction closes the relation.
-        for i in range(size - 1, -1, -1):
-            acc = 1 << i
-            rest = succ[i]
-            while rest:
-                j = rest & -rest
-                acc |= up[j.bit_length() - 1]
-                rest ^= j
-            up[i] = acc
-        for i in range(size):
-            acc = 1 << i
-            rest = pred[i]
-            while rest:
-                j = rest & -rest
-                acc |= down[j.bit_length() - 1]
-                rest ^= j
-            down[i] = acc
-        return up, down
+        return close(succ, range(size - 1, -1, -1)), close(pred, range(size))
 
     # -- basic queries ------------------------------------------------
 
@@ -269,18 +286,15 @@ class FiniteLattice:
 
     def census(self) -> Census:
         n = self.nu.n
-        rows = Counter(entry for mu in self.elements for entry in mu.composition[:n])
-        columns = Counter(entry for vec in self.reduced_vectors for entry in vec)
-        longest = max(chain(rows, columns), default=0)
-        left = _count_at_least(rows, longest)
-        right = _count_at_least(columns, longest)
+        census = census_from_entries(
+            len(self.elements),
+            (entry for mu in self.elements for entry in mu.composition[:n]),
+            (entry for vec in self.reduced_vectors for entry in vec),
+        )
         covers = len(self.covers)
-        if longest >= 1 and (left[0] != covers or right[0] != covers):
-            raise LatticeLawError(
-                f"length-1 counts disagree: covers={covers} left={left[0]} right={right[0]}"
-            )
-        totals = [len(self.elements), covers] + [a + b for a, b in zip(left[1:], right[1:])]
-        return Census(tuple(totals), tuple(left), tuple(right))
+        if census.totals[1:2] != ((covers,) if covers else ()):
+            raise LatticeLawError(f"length-1 counts disagree: covers={covers} census={census}")
+        return census
 
     def classify(self, bottom: int, top: int) -> IntervalRecord:
         linear, length = self.is_linear(bottom, top)

@@ -214,17 +214,13 @@ class Valley:
 
 
 def valleys(path: LatticePath) -> tuple[Valley, ...]:
-    found = []
-    x = y = 0
-    word = path.word
-    for i, ch in enumerate(word):
-        if ch == EAST:
-            x += 1
-            if i + 1 < len(word) and word[i + 1] == NORTH:
-                found.append(Valley(i, (x, y)))
-        else:
-            y += 1
-    return tuple(found)
+    """One valley per row y < n with east steps: its east step ends at (x_y, y)."""
+    comp = path.composition
+    return tuple(
+        Valley(x + y - 1, (x, y))
+        for y, x in enumerate(path.east_prefixes[:-1])
+        if comp[y] > 0
+    )
 
 
 def enumerate_nu_paths(nu: LatticePath) -> list[NuPath]:

@@ -13,18 +13,16 @@ increment box.
 from __future__ import annotations
 
 import random
-from collections import Counter
 from dataclasses import dataclass
 from math import comb
+from typing import Iterator
 
 from .order import (
-    LEFT,
-    NON_LINEAR,
-    RIGHT,
     Census,
     apply_horizontal,
     apply_vertical,
     build_lattice,
+    census_from_entries,
     left_intervals_from,
     left_witness,
     right_intervals_to,
@@ -34,10 +32,11 @@ from .paths import (
     ContractError,
     IncrementVector,
     LatticePath,
+    enumerate_nu_paths,
     increment_box,
     is_weakly_above,
 )
-from .trees import GridTree, build_region, left_flushing, right_flushing
+from .trees import GridTree, build_region, left_flushing, right_flushing, tree_rotation_down
 from .vectors import reduced_column_vector, reduced_down_flushing
 
 
@@ -164,12 +163,16 @@ class RestrictedReport:
 def restricted_census(nu: LatticePath, base: LatticePath) -> RestrictedReport:
     """Linear intervals of the rotation order of `base` restricted to nu-paths.
 
-    `base` must lie weakly below nu with the same endpoints.  When some
-    east run of `base` after its first north step exceeds the one of nu,
-    the restriction is only an upper set (not an interval) of the full
-    lattice, and its right-interval counts may drop; the left counts never
-    do.  No equality is asserted here: callers compare the reported census
-    with the alt lattice's one.
+    `base` must lie weakly below nu with the same endpoints.  Rotations
+    only raise a path, so the nu-paths form an upper set of the full
+    lattice: every left interval from a member stays, and a member keeps
+    its row entries.  Down-rotating a column run of a member, top first,
+    walks down the bottoms of ever longer right intervals to it, and the
+    members among them form a prefix of the run, whose length is the
+    member's column entry.  When some east run of `base` after its first
+    north step exceeds the one of nu, right counts may drop; left counts
+    never do.  No equality is asserted here: callers compare the reported
+    census with the alt lattice's one.
     """
     if not is_weakly_above(nu, base):
         raise ContractError(f"{base.word!r} does not lie weakly below {nu.word!r}")
@@ -179,59 +182,39 @@ def restricted_census(nu: LatticePath, base: LatticePath) -> RestrictedReport:
         for i, element in enumerate(full.elements)
         if is_weakly_above(element.path, nu)
     ]
-    mask = 0
-    for i in member_ids:
-        mask |= 1 << i
+    mask = sum(1 << i for i in member_ids)
     minimal = sum(1 for i in member_ids if full.down[i] & mask == 1 << i)
 
-    totals: Counter = Counter()
-    left: Counter = Counter()
-    right: Counter = Counter()
-    for a in member_ids:
-        rest = full.up[a] & mask
-        while rest:
-            low = rest & -rest
-            rest ^= low
-            record = full.classify(a, low.bit_length() - 1)
-            if record.kind == NON_LINEAR:
-                continue
-            totals[record.length] += 1
-            if record.kind == LEFT:
-                left[record.length] += 1
-            if record.kind == RIGHT or record.also_right:
-                right[record.length] += 1
-    longest = max(totals)
-    census = Census(
-        tuple(totals[k] for k in range(longest + 1)),
-        tuple(left[k] for k in range(1, longest + 1)),
-        tuple(right[k] for k in range(1, longest + 1)),
+    census = census_from_entries(
+        len(member_ids),
+        (entry for i in member_ids for entry in full.elements[i].composition[: nu.n]),
+        (entry for i in member_ids for entry in _member_runs(full.trees[i], nu)),
     )
     return RestrictedReport(nu, base, len(member_ids), minimal, census)
 
 
+def _member_runs(tree: GridTree, nu: LatticePath) -> Iterator[int]:
+    """Per reduced column, the down-rotations of its run (top first) that stay above nu."""
+    for x in tree.region.reduced_column_order:
+        current, run = tree, 0
+        for y in reversed(tree.relevant_column(x)[1:]):
+            current = tree_rotation_down(current, (x, y))
+            if not is_weakly_above(left_flushing(current).path, nu):
+                break
+            run += 1
+        yield run
+
+
 def bad_bases(nu: LatticePath) -> list[LatticePath]:
-    """Paths weakly below nu (same endpoints) with some east run above nu's."""
+    """Paths weakly below nu (same endpoints) with some east run above nu's, lexicographically."""
     comp = nu.composition
-    n, m = nu.n, nu.m
-    prefixes = nu.east_prefixes
-    out: list[LatticePath] = []
-
-    def walk(prefix: list[int], total: int) -> None:
-        j = len(prefix)
-        if j == n:
-            prefix.append(m - total)
-            candidate = tuple(prefix)
-            if any(candidate[i] > comp[i] for i in range(1, n + 1)):
-                out.append(LatticePath.from_composition(candidate))
-            prefix.pop()
-            return
-        for c in range(prefixes[j] - total, m - total + 1):
-            prefix.append(c)
-            walk(prefix, total + c)
-            prefix.pop()
-
-    walk([], 0)
-    return out
+    lowest = LatticePath.from_composition((nu.m,) + (0,) * nu.n)
+    return [
+        mu.path
+        for mu in reversed(enumerate_nu_paths(lowest))
+        if is_weakly_above(nu, mu.path)
+        and any(run > bound for run, bound in zip(mu.composition[1:], comp[1:]))
+    ]
 
 
 def mtamari_path(parts: int, height: int) -> LatticePath:

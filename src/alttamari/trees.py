@@ -90,9 +90,6 @@ class GridRegion:
         prefixes = self.nu.east_prefixes
         return tuple(lo + prefixes[y] for y, lo in enumerate(self.row_lo))
 
-    def row_span(self, y: int) -> tuple[int, int]:
-        return self.row_lo[y], self.row_hi[y]
-
     def contains(self, x: int, y: int) -> bool:
         return 0 <= y <= self.n and self.row_lo[y] <= x <= self.row_hi[y]
 
@@ -130,9 +127,6 @@ class GridRegion:
         """The m reduced columns (x = 1..m), shortest first, right to left on ties."""
         lengths = self.reduced_column_lengths
         return tuple(sorted(range(1, self.m + 1), key=lambda x: (lengths[x], -x)))
-
-    def column_length(self, x: int) -> int:
-        return self.column_lengths[x]
 
     def points(self) -> list[Point]:
         return [
@@ -298,7 +292,7 @@ def right_flushing(mu: NuPath, region: GridRegion) -> GridTree:
     blocked: set[int] = set()
     nodes: list[Point] = []
     for y, count in enumerate(mu.composition):
-        lo, hi = region.row_span(y)
+        lo, hi = region.row_lo[y], region.row_hi[y]
         placed = []
         x = hi
         while len(placed) < count + 1 and x >= lo:

@@ -248,8 +248,6 @@ def test_criterion_10_wrong_base_phenomenon():
                     r < a for r, a in zip(padded, alt.right)
                 ):
                     witness = (nu, base, report, alt)
-            if witness is not None:
-                break
         assert witness is not None
         nu, base, report, alt = witness
         print(

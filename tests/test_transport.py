@@ -201,6 +201,41 @@ def test_bad_bases_listing():
     assert bad_bases(LatticePath("ENEEN")) == []
 
 
+def test_bad_bases_match_a_filter_over_all_words():
+    for nu in all_base_paths(7):
+        length = nu.m + nu.n
+        expected = []
+        for north in itertools.combinations(range(length), nu.n):
+            base = LatticePath("".join("N" if i in north else "E" for i in range(length)))
+            below = all(b >= a for a, b in zip(nu.east_prefixes, base.east_prefixes))
+            longer = any(b > a for a, b in zip(nu.composition[1:], base.composition[1:]))
+            if below and longer:
+                expected.append(base.composition)
+        assert [b.composition for b in bad_bases(nu)] == sorted(expected), nu.word
+
+
+def test_restricted_census_matches_the_oracle_on_bad_bases():
+    # the nu-paths are an upper set of the full lattice, so the full covers
+    # with both ends among them are the restriction's Hasse diagram
+    pairs = 0
+    for nu in all_base_paths(6):
+        for base in bad_bases(nu):
+            full = build_lattice(base, IncrementVector.maximal(base))
+            members = [i for i, mu in enumerate(full.elements) if is_weakly_above(mu.path, nu)]
+            index = {i: k for k, i in enumerate(members)}
+            covers = [
+                (index[low], index[high])
+                for low, high, _ in full.covers
+                if low in index and high in index
+            ]
+            matrix = oracle.closure_from_covers(len(members), covers)
+            report = restricted_census(nu, base)
+            assert report.size == len(members)
+            assert report.census.totals == oracle.oracle_census(matrix), (nu.word, base.word)
+            pairs += 1
+    assert pairs == 248
+
+
 def test_restricted_census_witness():
     nu = LatticePath.from_composition((1, 0, 1))
     bad = LatticePath.from_composition((1, 1, 0))

@@ -58,7 +58,7 @@ def test_column_lengths_match_figure_caption(eneen):
     # reduced column lengths 1,1,2, counted in unit segments
     region = build_region(eneen, IncrementVector((1, 0), eneen))
     assert region.column_order == (3, 0, 2, 1)
-    assert tuple(region.column_length(x) - 1 for x in region.column_order) == (1, 1, 2, 2)
+    assert tuple(region.column_lengths[x] - 1 for x in region.column_order) == (1, 1, 2, 2)
     assert reduced_column_order(region) == (3, 1, 2)
     assert tuple(
         region.reduced_column_lengths[x] - 1 for x in reduced_column_order(region)
