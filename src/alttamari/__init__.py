@@ -11,7 +11,6 @@ from .paths import (
     ContractError,
     IncrementVector,
     LatticePath,
-    NuPath,
     PathSyntaxError,
     ambient_base,
     delta_rotate,

@@ -7,9 +7,10 @@ Exit codes:
   conflicting arguments, a negative ``--max-size``, a ``--sample`` below 2,
   an ``mtamari-check --m`` or ``--n`` below 1;
 * 3 validation errors on otherwise well-formed input: a path that is not
-  weakly above nu, and a tree file that cannot be read, is not JSON, lacks
-  a key, does not hold a tree of its region or lies over another nu or
-  delta than ``--nu``/``--delta``;
+  weakly above nu, a tree file that cannot be read, is not JSON, lacks a
+  key, does not hold a tree of its region or lies over another nu or
+  delta than ``--nu``/``--delta``, and an ``--out`` file that cannot be
+  written;
 * 4 invariant breaches: a census, oracle or flushing mismatch that would
   falsify the implementation.
 
@@ -28,7 +29,6 @@ from .paths import (
     ContractError,
     IncrementVector,
     LatticePath,
-    NuPath,
     PathSyntaxError,
     all_base_paths,
     enumerate_nu_paths,
@@ -55,9 +55,12 @@ INVARIANT_BREACH = 4
 def _emit(text: str, out: str | None) -> None:
     if out is None:
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(out, "w") as handle:
             handle.write(text)
+    except OSError as err:
+        raise _Validation(f"cannot write output file {out!r}: {err}") from err
 
 
 def _parse_delta(text: str, nu: LatticePath) -> IncrementVector:
@@ -82,7 +85,7 @@ class _Breach(Exception):
 def cmd_paths(args) -> int:
     nu = parse_path(args.nu)
     for i, mu in enumerate(enumerate_nu_paths(nu)):
-        print(f"{i}\t{mu.path.word}\t{mu.path.composition_str()}")
+        print(f"{i}\t{LatticePath.from_composition(mu).word}\t{','.join(map(str, mu))}")
     return 0
 
 
@@ -96,11 +99,9 @@ def cmd_lattice(args) -> int:
         _emit(json.dumps(lattice.to_json_dict(), indent=2) + "\n", args.out)
     else:
         lines = [f"nu={nu.word} delta={delta} elements={len(lattice)} covers={len(lattice.covers)}"]
+        words = [LatticePath.from_composition(mu).word for mu in lattice.elements]
         for low, high, valley in lattice.covers:
-            lines.append(
-                f"{lattice.elements[low].path.word} -> {lattice.elements[high].path.word}"
-                f" (valley {valley})"
-            )
+            lines.append(f"{words[low]} -> {words[high]} (valley {valley})")
         _emit("\n".join(lines) + "\n", args.out)
     return 0
 
@@ -178,10 +179,7 @@ def cmd_flush(args) -> int:
     if (args.path is None) == (args.tree is None):
         raise _Usage("flush needs exactly one of --path or --tree")
     if args.path is not None:
-        candidate = parse_path(args.path)
-        if not is_weakly_above(candidate, nu):
-            raise _Validation(f"{candidate.word!r} is not weakly above {nu.word!r}")
-        tree = right_flushing(NuPath(candidate, nu), region)
+        tree = right_flushing(_path_above(args.path, nu), region)
         _emit(json.dumps(tree.to_json_dict(), indent=2) + "\n", args.out)
         return 0
     tree = _read_tree(args.tree)
@@ -191,12 +189,17 @@ def cmd_flush(args) -> int:
             f"delta={tree.region.delta}, not nu={nu.word} delta={delta}"
         )
     mu = left_flushing(tree)
-    _emit(
-        json.dumps({"nu": nu.word, "path": mu.path.word, "composition": list(mu.composition)})
-        + "\n",
-        args.out,
-    )
+    word = LatticePath.from_composition(mu).word
+    _emit(json.dumps({"nu": nu.word, "path": word, "composition": list(mu)}) + "\n", args.out)
     return 0
+
+
+def _path_above(text: str, nu: LatticePath) -> tuple[int, ...]:
+    """The composition of a path literal; a path not weakly above nu is a validation error."""
+    candidate = parse_path(text)
+    if not is_weakly_above(candidate.composition, nu.composition):
+        raise _Validation(f"{candidate.word!r} is not weakly above {nu.word!r}")
+    return candidate.composition
 
 
 def _read_tree(path: str) -> GridTree:
@@ -235,15 +238,13 @@ def cmd_transport(args) -> int:
     nu = parse_path(args.nu)
     delta = _parse_delta(args.delta, nu)
     delta2 = _parse_delta(args.delta2, nu)
-    candidate = parse_path(args.path)
-    if not is_weakly_above(candidate, nu):
-        raise _Validation(f"{candidate.word!r} is not weakly above {nu.word!r}")
-    source = right_flushing(NuPath(candidate, nu), build_region(nu, delta))
+    source = right_flushing(_path_above(args.path, nu), build_region(nu, delta))
+    region2 = build_region(nu, delta2)
     if args.direction == "h":
-        target = horizontal_flushing(source, delta2)
+        target = horizontal_flushing(source, region2)
         name, vector = "row_vector", row_vector
     else:
-        target = vertical_flushing(source, delta2)
+        target = vertical_flushing(source, region2)
         name, vector = "reduced_column_vector", reduced_column_vector
     kept = vector(source)
     if vector(target) != kept:

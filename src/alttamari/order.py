@@ -1,10 +1,11 @@
 """Alt nu-Tamari lattices as finite posets, with linear-interval machinery.
 
 The lattice on the nu-paths has one cover per valley of each element,
-given by the delta-rotation at that valley.  Elements are indexed in the
-canonical enumeration order, which is a linear extension (the base path
-gets id 0, the top path the last id), so reachability closures are a
-single sweep and meet/join reduce to bit tricks on the closure rows.
+given by the delta-rotation at that valley.  Elements are the paths'
+compositions, indexed in the canonical enumeration order, which is a
+linear extension (the base path gets id 0, the top path the last id), so
+reachability closures are a single sweep and meet/join reduce to bit
+tricks on the closure rows.  Words are spelled out only for export.
 
 Non-trivial linear intervals split into left intervals, generated from a
 bottom tree by rotating a run of nodes in one row, and right intervals,
@@ -26,7 +27,6 @@ from .paths import (
     ContractError,
     IncrementVector,
     LatticePath,
-    NuPath,
     delta_rotate,
     enumerate_nu_paths,
     valleys,
@@ -41,7 +41,7 @@ from .trees import (
     tree_rotation,
     tree_rotation_down,
 )
-from .vectors import reduced_column_vector
+from .vectors import flushed_reduced_vector
 
 TRIVIAL = "trivial"
 LEFT = "left"
@@ -160,8 +160,8 @@ class FiniteLattice:
         self.nu = nu
         self.delta = delta
         self.region: GridRegion = build_region(nu, delta)
-        self.elements: tuple[NuPath, ...] = tuple(enumerate_nu_paths(nu))
-        self._ids = {mu.composition: i for i, mu in enumerate(self.elements)}
+        self.elements: tuple[tuple[int, ...], ...] = tuple(enumerate_nu_paths(nu))
+        self._ids = {mu: i for i, mu in enumerate(self.elements)}
         self.covers: tuple[tuple[int, int, int], ...] = self._build_covers()
         self.up, self.down = self._build_closures()
 
@@ -170,8 +170,8 @@ class FiniteLattice:
     def _build_covers(self) -> tuple[tuple[int, int, int], ...]:
         covers = []
         for low, mu in enumerate(self.elements):
-            for ordinal, valley in enumerate(valleys(mu.path)):
-                high = self._ids[delta_rotate(mu.composition, self.delta, valley.point[1])]
+            for ordinal, valley in enumerate(valleys(mu)):
+                high = self._ids[delta_rotate(mu, self.delta, valley.point[1])]
                 covers.append((low, high, ordinal))
         covers.sort()
         return tuple(covers)
@@ -205,12 +205,11 @@ class FiniteLattice:
     def __len__(self) -> int:
         return len(self.elements)
 
-    def element_id(self, mu: NuPath | LatticePath | tuple[int, ...]) -> int:
-        key = mu.composition if isinstance(mu, (NuPath, LatticePath)) else tuple(mu)
+    def element_id(self, mu: tuple[int, ...]) -> int:
         try:
-            return self._ids[key]
+            return self._ids[tuple(mu)]
         except KeyError:
-            raise ContractError(f"{key} is not an element of this lattice") from None
+            raise ContractError(f"{tuple(mu)} is not an element of this lattice") from None
 
     @property
     def bottom(self) -> int:
@@ -260,10 +259,6 @@ class FiniteLattice:
     def trees(self) -> tuple[GridTree, ...]:
         return tuple(right_flushing(mu, self.region) for mu in self.elements)
 
-    @cached_property
-    def reduced_vectors(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(reduced_column_vector(tree) for tree in self.trees)
-
     def tree_id(self, tree: GridTree) -> int:
         return self.element_id(left_flushing(tree))
 
@@ -285,11 +280,11 @@ class FiniteLattice:
         return True, size - 1
 
     def census(self) -> Census:
-        n = self.nu.n
+        n, region = self.nu.n, self.region
         census = census_from_entries(
             len(self.elements),
-            (entry for mu in self.elements for entry in mu.composition[:n]),
-            (entry for vec in self.reduced_vectors for entry in vec),
+            (entry for mu in self.elements for entry in mu[:n]),
+            (entry for mu in self.elements for entry in flushed_reduced_vector(mu, region)),
         )
         covers = len(self.covers)
         if census.totals[1:2] != ((covers,) if covers else ()):
@@ -325,7 +320,8 @@ class FiniteLattice:
             "nu": self.nu.word,
             "delta": list(self.delta.entries),
             "elements": [
-                {"id": i, "path": mu.path.word} for i, mu in enumerate(self.elements)
+                {"id": i, "path": LatticePath.from_composition(mu).word}
+                for i, mu in enumerate(self.elements)
             ],
             "covers": [[low, high] for low, high, _ in self.covers],
             "linear_counts": list(self.census().totals),
@@ -334,7 +330,8 @@ class FiniteLattice:
     def to_dot(self) -> str:
         lines = ["digraph alttamari {", "  rankdir=BT;"]
         for i, mu in enumerate(self.elements):
-            lines.append(f'  n{i} [label="{mu.path.composition_str()}"];')
+            label = ",".join(map(str, mu))
+            lines.append(f'  n{i} [label="{label}"];')
         for low, high, _ in self.covers:
             lines.append(f"  n{low} -> n{high};")
         lines.append("}")

@@ -4,7 +4,9 @@ A lattice path is a word in the steps N (north) and E (east).  It is
 equivalently encoded as a composition (nu_0, ..., nu_n) where nu_0 is the
 number of initial east steps and nu_i the number of east steps following
 the i-th north step.  A nu-path is a path with the same endpoints as a base
-path nu that stays weakly above it.
+path nu that stays weakly above it.  The library represents a nu-path by
+its composition, a plain tuple of integers; :class:`LatticePath` parses
+and prints words, and the base path nu is one.
 
 An increment vector delta = (delta_1, ..., delta_n) with 0 <= delta_i <=
 nu_i selects one alt nu-Tamari lattice.  The covering moves of that
@@ -25,7 +27,7 @@ path lies strictly above the old one and stays weakly above nu.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterator
 
@@ -89,24 +91,26 @@ class LatticePath:
     def n(self) -> int:
         return len(self.composition) - 1
 
-    def composition_str(self) -> str:
-        return ",".join(str(c) for c in self.composition)
-
     def __str__(self) -> str:
         return self.word
+
+
+def _parse_entries(text: str, what: str) -> tuple[int, ...]:
+    """Comma-separated entries, each one or more ASCII digits."""
+    entries = []
+    for pos, piece in enumerate(text.split(",")):
+        piece = piece.strip()
+        if not (piece.isascii() and piece.isdigit()):
+            raise PathSyntaxError(f"invalid {what} entry {piece!r} at index {pos}")
+        entries.append(int(piece))
+    return tuple(entries)
 
 
 def parse_path(text: str) -> LatticePath:
     """Parse a path literal, either a step word ("ENEENN") or a composition ("1,2,0,0")."""
     text = text.strip()
     if "," in text or text.isdigit():
-        entries = []
-        for pos, piece in enumerate(text.split(",")):
-            piece = piece.strip()
-            if not piece.isdigit():
-                raise PathSyntaxError(f"invalid composition entry {piece!r} at index {pos}")
-            entries.append(int(piece))
-        return LatticePath.from_composition(tuple(entries))
+        return LatticePath.from_composition(_parse_entries(text, "composition"))
     return LatticePath(text.upper())
 
 
@@ -123,34 +127,17 @@ def all_base_paths(max_size: int) -> Iterator[LatticePath]:
             yield LatticePath("".join(NORTH if bits >> i & 1 else EAST for i in range(length)))
 
 
-def is_weakly_above(path: LatticePath, base: LatticePath) -> bool:
-    if path.m != base.m or path.n != base.n:
+def is_weakly_above(composition: tuple[int, ...], base: tuple[int, ...]) -> bool:
+    """Whether a composition ends where base does, never east of it on the way."""
+    if len(composition) != len(base):
         return False
-    return all(p <= b for p, b in zip(path.east_prefixes, base.east_prefixes))
-
-
-@dataclass(frozen=True)
-class NuPath:
-    """A path together with the base path it lies weakly above."""
-
-    path: LatticePath
-    base: LatticePath
-
-    def __post_init__(self) -> None:
-        if self.path.m != self.base.m or self.path.n != self.base.n:
-            raise ContractError(
-                f"endpoints differ: {self.path.word!r} ends at "
-                f"({self.path.m},{self.path.n}), base at ({self.base.m},{self.base.n})"
-            )
-        if not is_weakly_above(self.path, self.base):
-            raise ContractError(f"{self.path.word!r} is not weakly above {self.base.word!r}")
-
-    @property
-    def composition(self) -> tuple[int, ...]:
-        return self.path.composition
-
-    def __str__(self) -> str:
-        return self.path.word
+    total = bound = 0
+    for entry, cap in zip(composition, base):
+        total += entry
+        bound += cap
+        if entry < 0 or total > bound:
+            return False
+    return total == bound
 
 
 @dataclass(frozen=True)
@@ -189,13 +176,7 @@ def parse_increments(text: str, nu: LatticePath) -> IncrementVector:
     text = text.strip()
     if text == "":
         return IncrementVector((), nu)
-    entries = []
-    for pos, piece in enumerate(text.split(",")):
-        piece = piece.strip()
-        if not piece.isdigit():
-            raise PathSyntaxError(f"invalid increment entry {piece!r} at index {pos}")
-        entries.append(int(piece))
-    return IncrementVector(tuple(entries), nu)
+    return IncrementVector(_parse_entries(text, "increment"), nu)
 
 
 def increment_box(nu: LatticePath) -> Iterator[IncrementVector]:
@@ -213,18 +194,19 @@ class Valley:
     point: tuple[int, int]  # lattice point between the two steps
 
 
-def valleys(path: LatticePath) -> tuple[Valley, ...]:
+def valleys(composition: tuple[int, ...]) -> tuple[Valley, ...]:
     """One valley per row y < n with east steps: its east step ends at (x_y, y)."""
-    comp = path.composition
-    return tuple(
-        Valley(x + y - 1, (x, y))
-        for y, x in enumerate(path.east_prefixes[:-1])
-        if comp[y] > 0
-    )
+    found = []
+    x = 0
+    for y, entry in enumerate(composition[:-1]):
+        x += entry
+        if entry > 0:
+            found.append(Valley(x + y - 1, (x, y)))
+    return tuple(found)
 
 
-def enumerate_nu_paths(nu: LatticePath) -> list[NuPath]:
-    """All paths weakly above nu, in canonical order (nu first, top path last).
+def enumerate_nu_paths(nu: LatticePath) -> list[tuple[int, ...]]:
+    """The compositions of all paths weakly above nu, in canonical order (nu first, top path last).
 
     The canonical order sorts compositions lexicographically in decreasing
     order.  Since every nu-path has prefix sums bounded by those of nu, the
@@ -250,7 +232,7 @@ def enumerate_nu_paths(nu: LatticePath) -> list[NuPath]:
             prefix.pop()
 
     extend([], 0)
-    return [NuPath(LatticePath.from_composition(comp), nu) for comp in results]
+    return results
 
 
 def delta_rotate(composition: tuple[int, ...], delta: IncrementVector, row: int) -> tuple[int, ...]:

@@ -36,33 +36,31 @@ from .paths import (
     increment_box,
     is_weakly_above,
 )
-from .trees import GridTree, build_region, left_flushing, right_flushing, tree_rotation_down
+from .trees import GridRegion, GridTree, build_region, left_flushing, right_flushing, tree_rotation_down
 from .vectors import reduced_column_vector, reduced_down_flushing
 
 
-def horizontal_flushing(tree: GridTree, delta2: IncrementVector) -> GridTree:
-    """The tree over delta2 with the same row vector."""
-    _check_target(tree, delta2)
-    if delta2 == tree.region.delta:
+def horizontal_flushing(tree: GridTree, target: GridRegion) -> GridTree:
+    """The tree in the target region with the same row vector."""
+    if _same_region(tree, target):
         return tree
-    return right_flushing(left_flushing(tree), build_region(tree.region.nu, delta2))
+    return right_flushing(left_flushing(tree), target)
 
 
-def vertical_flushing(tree: GridTree, delta2: IncrementVector) -> GridTree:
-    """The tree over delta2 with the same reduced column vector."""
-    _check_target(tree, delta2)
-    if delta2 == tree.region.delta:
+def vertical_flushing(tree: GridTree, target: GridRegion) -> GridTree:
+    """The tree in the target region with the same reduced column vector."""
+    if _same_region(tree, target):
         return tree
-    target = build_region(tree.region.nu, delta2)
     return reduced_down_flushing(reduced_column_vector(tree), target)
 
 
-def _check_target(tree: GridTree, delta2: IncrementVector) -> None:
-    if delta2.nu != tree.region.nu:
+def _same_region(tree: GridTree, target: GridRegion) -> bool:
+    if target.nu != tree.region.nu:
         raise ContractError(
-            f"target increments bound to {delta2.nu.word!r}, tree lies over "
+            f"target region lies over {target.nu.word!r}, tree lies over "
             f"{tree.region.nu.word!r}"
         )
+    return target == tree.region
 
 
 def transport_left_interval(
@@ -77,7 +75,7 @@ def transport_left_interval(
     witness = left_witness(bottom, top, length) if length else None
     if witness is None:
         raise ContractError("the given pair of trees is not a left interval")
-    bottom2 = horizontal_flushing(bottom, delta2)
+    bottom2 = horizontal_flushing(bottom, build_region(bottom.region.nu, delta2))
     for cand in left_intervals_from(bottom2, length):
         if cand.row == witness.row:
             return bottom2, apply_horizontal(bottom2, cand)
@@ -92,7 +90,7 @@ def transport_right_interval(
     witness = right_witness(bottom, top, length) if length else None
     if witness is None:
         raise ContractError("the given pair of trees is not a right interval")
-    top2 = vertical_flushing(top, delta2)
+    top2 = vertical_flushing(top, build_region(top.region.nu, delta2))
     index = bottom.region.reduced_column_order.index(witness.column)
     column = top2.region.reduced_column_order[index]
     for cand in right_intervals_to(top2, length):
@@ -174,20 +172,18 @@ def restricted_census(nu: LatticePath, base: LatticePath) -> RestrictedReport:
     never do.  No equality is asserted here: callers compare the reported
     census with the alt lattice's one.
     """
-    if not is_weakly_above(nu, base):
+    if not is_weakly_above(nu.composition, base.composition):
         raise ContractError(f"{base.word!r} does not lie weakly below {nu.word!r}")
     full = build_lattice(base, IncrementVector.maximal(base))
     member_ids = [
-        i
-        for i, element in enumerate(full.elements)
-        if is_weakly_above(element.path, nu)
+        i for i, element in enumerate(full.elements) if is_weakly_above(element, nu.composition)
     ]
     mask = sum(1 << i for i in member_ids)
     minimal = sum(1 for i in member_ids if full.down[i] & mask == 1 << i)
 
     census = census_from_entries(
         len(member_ids),
-        (entry for i in member_ids for entry in full.elements[i].composition[: nu.n]),
+        (entry for i in member_ids for entry in full.elements[i][: nu.n]),
         (entry for i in member_ids for entry in _member_runs(full.trees[i], nu)),
     )
     return RestrictedReport(nu, base, len(member_ids), minimal, census)
@@ -199,7 +195,7 @@ def _member_runs(tree: GridTree, nu: LatticePath) -> Iterator[int]:
         current, run = tree, 0
         for y in reversed(tree.relevant_column(x)[1:]):
             current = tree_rotation_down(current, (x, y))
-            if not is_weakly_above(left_flushing(current).path, nu):
+            if not is_weakly_above(left_flushing(current), nu.composition):
                 break
             run += 1
         yield run
@@ -210,10 +206,9 @@ def bad_bases(nu: LatticePath) -> list[LatticePath]:
     comp = nu.composition
     lowest = LatticePath.from_composition((nu.m,) + (0,) * nu.n)
     return [
-        mu.path
+        LatticePath.from_composition(mu)
         for mu in reversed(enumerate_nu_paths(lowest))
-        if is_weakly_above(nu, mu.path)
-        and any(run > bound for run, bound in zip(mu.composition[1:], comp[1:]))
+        if is_weakly_above(comp, mu) and any(run > bound for run, bound in zip(mu[1:], comp[1:]))
     ]
 
 

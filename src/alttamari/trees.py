@@ -17,11 +17,12 @@ and length of every column, the number of relevant points per column (a
 point is relevant unless it is the leftmost of its row) and the two
 column orders that index column and reduced column vectors.
 
-The right flushing bijection sends a nu-path to the tree with mu_i + 1
-nodes in row i, filling rows bottom to top and right to left while
-skipping every position that sits above an already placed node that is
-not the leftmost of its row.  Left flushing inverts it by reading off the
-per-row node counts.
+A nu-path is its composition mu.  The right flushing bijection sends it
+to the tree with mu_i + 1 nodes in row i, filling rows bottom to top and
+right to left while skipping every position that sits above an already
+placed node that is not the leftmost of its row; :func:`flushed_rows` is
+that fill on integer rows, without building the tree.  Left flushing
+inverts it by reading off the per-row node counts as a composition.
 """
 
 from __future__ import annotations
@@ -34,8 +35,8 @@ from .paths import (
     ContractError,
     IncrementVector,
     LatticePath,
-    NuPath,
     ambient_base,
+    is_weakly_above,
     parse_path,
 )
 
@@ -278,20 +279,17 @@ def tree_rotation_down(tree: GridTree, q: Point) -> GridTree:
     return _rotate(tree, q, up=False)
 
 
-def right_flushing(mu: NuPath, region: GridRegion) -> GridTree:
-    """The tree with mu_i + 1 nodes in row i.
+def flushed_rows(mu: tuple[int, ...], region: GridRegion) -> list[list[int]]:
+    """The columns of the right-flushed tree's nodes, per row, right to left.
 
     Rows are filled bottom to top, each row right to left, skipping the
     columns blocked by a previously placed node that is not the leftmost
-    of its row (such a node forbids every position above it).
+    of its row (such a node forbids every position above it).  mu must
+    lie weakly above the region's nu.
     """
-    if mu.base != region.nu:
-        raise ContractError(
-            f"path lies over {mu.base.word!r} but the region is for {region.nu.word!r}"
-        )
     blocked: set[int] = set()
-    nodes: list[Point] = []
-    for y, count in enumerate(mu.composition):
+    rows: list[list[int]] = []
+    for y, count in enumerate(mu):
         lo, hi = region.row_lo[y], region.row_hi[y]
         placed = []
         x = hi
@@ -301,19 +299,26 @@ def right_flushing(mu: NuPath, region: GridRegion) -> GridTree:
             x -= 1
         if len(placed) < count + 1:
             raise ContractError(f"row {y} cannot hold {count + 1} nodes")
-        nodes.extend((x, y) for x in placed)
+        rows.append(placed)
         blocked.update(placed[:-1])  # all but the leftmost placed
-    return GridTree(region, frozenset(nodes))
+    return rows
 
 
-def left_flushing(tree: GridTree) -> NuPath:
-    """The nu-path with as many east steps per row as the tree has extra nodes."""
+def right_flushing(mu: tuple[int, ...], region: GridRegion) -> GridTree:
+    """The tree with mu_i + 1 nodes in row i."""
+    if not is_weakly_above(mu, region.nu.composition):
+        raise ContractError(f"{mu} is not weakly above {region.nu.composition}")
+    rows = flushed_rows(mu, region)
+    return GridTree(region, frozenset((x, y) for y, xs in enumerate(rows) for x in xs))
+
+
+def left_flushing(tree: GridTree) -> tuple[int, ...]:
+    """The composition with as many east steps per row as the tree has extra nodes."""
     counts = [len(tree.by_row[y]) for y in range(tree.region.n + 1)]
     if any(c == 0 for c in counts):
         raise ContractError("tree has an empty row")
-    composition = tuple(c - 1 for c in counts)
-    return NuPath(LatticePath.from_composition(composition), tree.region.nu)
+    return tuple(c - 1 for c in counts)
 
 
 def bottom_tree(region: GridRegion) -> GridTree:
-    return right_flushing(NuPath(region.nu, region.nu), region)
+    return right_flushing(region.nu.composition, region)

@@ -12,7 +12,9 @@ A tree is determined by any one of three count vectors:
 
 The column lengths and both column orders are shape data of the region,
 cached on :class:`alttamari.trees.GridRegion`; ``reduced_column_order``
-here only reads the region.
+here only reads the region.  ``flushed_reduced_vector`` reads the reduced
+column vector of a right-flushed tree off the integer row fill, without
+building the tree.
 
 The down flushing algorithms reconstruct the tree from the column or the
 reduced column vector by filling columns right to left, bottom to top,
@@ -25,9 +27,10 @@ counted relevant nodes are placed.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterable
 
 from .paths import ContractError, LatticePath, reverse_path
-from .trees import GridRegion, GridTree, Point
+from .trees import GridRegion, GridTree, Point, flushed_rows
 
 
 class VectorValidationError(ValueError):
@@ -65,7 +68,22 @@ def reduced_column_order(region: GridRegion) -> tuple[int, ...]:
 
 
 def reduced_column_vector(tree: GridTree) -> tuple[int, ...]:
-    return tuple(len(tree.relevant_column(x)) - 1 for x in tree.region.reduced_column_order)
+    return _reduced_counts(tree.by_row.values(), tree.region)
+
+
+def flushed_reduced_vector(mu: tuple[int, ...], region: GridRegion) -> tuple[int, ...]:
+    """The reduced column vector of ``right_flushing(mu, region)``; mu lies weakly above nu."""
+    return _reduced_counts(flushed_rows(mu, region), region)
+
+
+def _reduced_counts(rows: Iterable[list[int]], region: GridRegion) -> tuple[int, ...]:
+    """Relevant nodes per reduced column, minus one, from each row's node columns, bottom up."""
+    counts = [-1] * (region.m + 1)
+    for xs, lo in zip(rows, region.row_lo):
+        for x in xs:
+            if x != lo:
+                counts[x] += 1
+    return tuple(counts[x] for x in region.reduced_column_order)
 
 
 def _ballot_check(

@@ -312,19 +312,50 @@ def assert_breach(code, out, err):
 def test_census_breach_exits_4(monkeypatch, capsys):
     import alttamari.order
 
-    monkeypatch.setattr(alttamari.order, "reduced_column_vector", lambda tree: ())
+    monkeypatch.setattr(alttamari.order, "flushed_reduced_vector", lambda mu, region: ())
     assert_breach(*run(capsys, "census", "--nu", "ENEEN", "--delta", "1,0"))
 
 
 @pytest.mark.parametrize("direction, flushing", [("h", "horizontal_flushing"), ("v", "vertical_flushing")])
 def test_transport_breach_exits_4(monkeypatch, capsys, direction, flushing):
     import alttamari.cli
-    from alttamari.trees import bottom_tree, build_region
+    from alttamari.trees import bottom_tree
 
-    monkeypatch.setattr(
-        alttamari.cli, flushing, lambda tree, delta2: bottom_tree(build_region(tree.region.nu, delta2))
-    )
+    monkeypatch.setattr(alttamari.cli, flushing, lambda tree, target: bottom_tree(target))
     assert_breach(*run(
         capsys, "transport", "--nu", "ENEEN", "--delta", "1,0", "--delta2", "0,0",
         "--path", "0,0,3", "--direction", direction,
     ))
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["paths", "--nu", "\u00b2"], "invalid composition entry '\u00b2' at index 0"),
+        (["paths", "--nu", "1,\u0663"], "invalid composition entry '\u0663' at index 1"),
+        (["census", "--nu", "NEE", "--delta", "\u00b2"], "invalid increment entry '\u00b2' at index 0"),
+    ],
+)
+def test_entries_take_ascii_digits_only(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == f"usage error: {message}\n"
+
+
+def test_flush_refuses_a_tree_file_with_a_non_ascii_nu(tmp_path, capsys):
+    tree_file = tmp_path / "tree.json"
+    tree_file.write_text(json.dumps({"nu": "\u00b2", "delta": [], "nodes": []}))
+    code, out, err = run(capsys, "flush", "--nu", "NEE", "--delta", "1", "--tree", str(tree_file))
+    assert (code, out) == (3, "")
+    assert err.startswith("validation error: ") and "invalid composition entry" in err
+    assert len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("command", ["census", "lattice"])
+def test_unwritable_out_file_is_a_validation_error(tmp_path, capsys, command):
+    target = tmp_path / "missing" / "out.json"
+    code, out, err = run(capsys, command, "--nu", "NE", "--delta", "1", "--out", str(target))
+    assert (code, out) == (3, "")
+    assert err.startswith(f"validation error: cannot write output file {str(target)!r}: ")
+    assert len(err.splitlines()) == 1
+    assert not target.parent.exists()

@@ -8,7 +8,6 @@ from alttamari import (
     IncrementVector,
     LatticePath,
     LatticeLawError,
-    NuPath,
     build_lattice,
     build_region,
     enumerate_nu_paths,
@@ -20,6 +19,7 @@ from alttamari import (
 )
 from alttamari import oracle
 from alttamari.order import NON_LINEAR, LEFT, RIGHT, TRIVIAL, apply_horizontal, apply_vertical
+from alttamari.vectors import flushed_reduced_vector
 
 from conftest import all_base_paths, all_instances
 
@@ -56,8 +56,8 @@ def test_census_breakdown():
 
 def test_bounds_and_idempotence():
     lat = lattice_of("ENEEN", (1, 0))
-    assert lat.elements[lat.bottom].composition == (1, 2, 0)
-    assert lat.elements[lat.top].composition == (0, 0, 3)
+    assert lat.elements[lat.bottom] == (1, 2, 0)
+    assert lat.elements[lat.top] == (0, 0, 3)
     for x in range(len(lat)):
         assert lat.meet(x, x) == x
         assert lat.join(x, x) == x
@@ -80,7 +80,7 @@ def test_dyck_meet_join_is_pointwise_extremum():
     # prefix vectors and joins pointwise minima
     for nu in all_base_paths(6):
         lat = build_lattice(nu, IncrementVector.zero(nu))
-        prefixes = [mu.path.east_prefixes for mu in lat.elements]
+        prefixes = [tuple(itertools.accumulate(mu)) for mu in lat.elements]
         index = {p: i for i, p in enumerate(prefixes)}
         for a in range(len(lat)):
             for b in range(len(lat)):
@@ -106,7 +106,7 @@ def test_covers_form_the_transitive_reduction():
 
 def test_left_interval_witnesses(eneen):
     region = build_region(eneen, IncrementVector((2, 0), eneen))
-    tree = right_flushing(NuPath(eneen, eneen), region)  # row vector (1,2,0)
+    tree = right_flushing(eneen.composition, region)  # row vector (1,2,0)
     assert len(left_intervals_from(tree, 1)) == 2
     assert len(left_intervals_from(tree, 2)) == 1
     assert left_intervals_from(tree, 3) == []
@@ -116,7 +116,7 @@ def test_left_interval_witnesses(eneen):
 
 def test_right_interval_witnesses(eneen):
     region = build_region(eneen, IncrementVector((2, 0), eneen))
-    tree = right_flushing(NuPath(LatticePath.from_composition((1, 1, 1)), eneen), region)
+    tree = right_flushing((1, 1, 1), region)
     # reduced column vector (0,1,0): one vertical run of length 1
     ells = right_intervals_to(tree, 1)
     assert len(ells) == 1
@@ -127,8 +127,8 @@ def test_witness_counts_match_formulas_and_apply():
     for nu, delta in all_instances(5):
         lat = build_lattice(nu, delta)
         for i, tree in enumerate(lat.trees):
-            comp = lat.elements[i].composition
-            reduced = lat.reduced_vectors[i]
+            comp = lat.elements[i]
+            reduced = flushed_reduced_vector(comp, lat.region)
             longest = max([0, *comp[: nu.n], *reduced])
             for ell in range(1, longest + 1):
                 lefts = left_intervals_from(tree, ell)
@@ -201,8 +201,8 @@ def test_classification_matches_word_rewrites_for_zero_increments():
                     rec = lat.classify(a, b)
                     if rec.kind == NON_LINEAR:
                         continue
-                    bottom = lat.elements[a].path.word
-                    top = lat.elements[b].path.word
+                    bottom = LatticePath.from_composition(lat.elements[a]).word
+                    top = LatticePath.from_composition(lat.elements[b]).word
                     expect_left = rec.kind == LEFT
                     expect_right = rec.kind == RIGHT or rec.also_right
                     assert oracle.dyck_left_form(bottom, top, rec.length) == expect_left
@@ -219,8 +219,8 @@ def test_classification_matches_excursion_rewrites_for_maximal_increments():
                     rec = lat.classify(a, b)
                     if rec.kind == NON_LINEAR:
                         continue
-                    bottom = lat.elements[a].path.word
-                    top = lat.elements[b].path.word
+                    bottom = LatticePath.from_composition(lat.elements[a]).word
+                    top = LatticePath.from_composition(lat.elements[b]).word
                     expect_left = rec.kind == LEFT
                     expect_right = rec.kind == RIGHT or rec.also_right
                     got_left = oracle.rotation_left_form(bottom, top, rec.length, delta.entries)

@@ -6,7 +6,6 @@ from alttamari import (
     ContractError,
     IncrementVector,
     LatticePath,
-    NuPath,
     PathSyntaxError,
     ambient_base,
     delta_rotate,
@@ -71,7 +70,7 @@ def test_reverse_examples():
 def test_enumeration_counts_and_order(eneen):
     paths = enumerate_nu_paths(eneen)
     assert len(paths) == 7
-    comps = [p.composition for p in paths]
+    comps = list(paths)
     assert comps[0] == (1, 2, 0)  # the base path comes first
     assert comps[-1] == (0, 0, 3)  # the top path comes last
     assert comps == sorted(comps, reverse=True)
@@ -104,11 +103,14 @@ def test_increment_box(eneen):
     assert [d.entries for d in increment_box(LatticePath("EEE"))] == [()]
 
 
-def test_nu_path_validation(eneen):
-    with pytest.raises(ContractError, match="not weakly above"):
-        NuPath(LatticePath.from_composition((2, 1, 0)), eneen)
-    with pytest.raises(ContractError, match="endpoints"):
-        NuPath(LatticePath("EN"), eneen)
+def test_weakly_above_needs_prefix_bounds_and_end_points(eneen):
+    nu = eneen.composition
+    assert is_weakly_above((1, 2, 0), nu) and is_weakly_above((0, 0, 3), nu)
+    assert not is_weakly_above((2, 1, 0), nu)  # below nu
+    assert not is_weakly_above(LatticePath("EN").composition, nu)  # ends at (1, 1)
+    assert not is_weakly_above((1, 1, 0), nu)  # ends at (2, 2)
+    assert not is_weakly_above((1, 2, 0, 0), nu)  # ends at (3, 3)
+    assert not is_weakly_above((-1, 4, 0), nu)  # a negative run
 
 
 def _area_below(path: LatticePath) -> int:
@@ -116,12 +118,12 @@ def _area_below(path: LatticePath) -> int:
     return sum(path.m - p for p in path.east_prefixes[:-1])
 
 
-def _rotated_path(mu: NuPath, delta: IncrementVector, valley) -> LatticePath:
-    return LatticePath.from_composition(delta_rotate(mu.composition, delta, valley.point[1]))
+def _rotated_path(mu: tuple[int, ...], delta: IncrementVector, valley) -> LatticePath:
+    return LatticePath.from_composition(delta_rotate(mu, delta, valley.point[1]))
 
 
 def test_rotation_examples(eneen):
-    vs = valleys(eneen)
+    vs = valleys(eneen.composition)
     assert [v.index for v in vs] == [0, 3]
     assert vs[0].point == (1, 0)
     d10 = IncrementVector((1, 0), eneen)
@@ -151,20 +153,20 @@ def test_rotations_raise_area_and_stay_above():
     for nu in all_base_paths(7):
         for delta in increment_box(nu):
             for mu in enumerate_nu_paths(nu):
-                for valley in valleys(mu.path):
+                for valley in valleys(mu):
                     rotated = _rotated_path(mu, delta, valley)
-                    assert _area_below(rotated) > _area_below(mu.path)
-                    assert is_weakly_above(rotated, nu)
+                    assert _area_below(rotated) > _area_below(LatticePath.from_composition(mu))
+                    assert is_weakly_above(rotated.composition, nu.composition)
 
 
 def test_zero_increments_flip_single_valley():
     for nu in all_base_paths(6):
         delta = IncrementVector.zero(nu)
         for mu in enumerate_nu_paths(nu):
-            for valley in valleys(mu.path):
+            for valley in valleys(mu):
                 rotated = _rotated_path(mu, delta, valley)
                 i = valley.index
-                word = mu.path.word
+                word = LatticePath.from_composition(mu).word
                 assert rotated.word == word[:i] + "N" + "E" + word[i + 2 :]
 
 
@@ -172,10 +174,8 @@ def test_rotations_agree_with_naive_oracle():
     for nu in all_base_paths(7):
         for delta in increment_box(nu):
             for mu in enumerate_nu_paths(nu):
-                expected = naive_rotations(mu.path.word, delta.entries)
-                got = [
-                    (k, _rotated_path(mu, delta, v).word) for k, v in enumerate(valleys(mu.path))
-                ]
+                expected = naive_rotations(LatticePath.from_composition(mu).word, delta.entries)
+                got = [(k, _rotated_path(mu, delta, v).word) for k, v in enumerate(valleys(mu))]
                 assert got == expected
 
 
@@ -187,10 +187,10 @@ def test_rotations_coincide_with_ambient_base_rotations():
             ambient = ambient_base(nu, delta)
             ambient_delta = IncrementVector.maximal(ambient)
             for mu in enumerate_nu_paths(nu):
-                for valley in valleys(mu.path):
+                for valley in valleys(mu):
                     row = valley.point[1]
-                    ours = delta_rotate(mu.composition, delta, row)
-                    theirs = delta_rotate(mu.composition, ambient_delta, row)
+                    ours = delta_rotate(mu, delta, row)
+                    theirs = delta_rotate(mu, ambient_delta, row)
                     assert ours == theirs
 
 
@@ -205,4 +205,4 @@ def test_ambient_base_lies_below():
         for delta in increment_box(nu):
             ambient = ambient_base(nu, delta)
             assert (ambient.m, ambient.n) == (nu.m, nu.n)
-            assert is_weakly_above(nu, ambient)
+            assert is_weakly_above(nu.composition, ambient.composition)

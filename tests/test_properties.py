@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 from alttamari import (
     IncrementVector,
     LatticePath,
-    NuPath,
     build_lattice,
     build_region,
     column_vector,
@@ -29,6 +28,7 @@ from alttamari.order import (
     right_witness,
 )
 from alttamari.oracle import count_paths_above, dyck_marked_counts, naive_rotations
+from alttamari.vectors import flushed_reduced_vector
 
 MAX_SIZE = 14
 # Lattices built per example stay this small; the unbuilt properties use
@@ -58,7 +58,7 @@ def paths_above(draw, nu: LatticePath):
         composition.append(entry)
         total += entry
     composition.append(nu.m - total)
-    return NuPath(LatticePath.from_composition(composition), nu)
+    return tuple(composition)
 
 
 @given(instances())
@@ -127,8 +127,16 @@ def test_census_matches_marked_path_counts_for_every_delta(instance):
 def test_rotations_on_compositions_match_word_rotations(instance):
     nu, delta = instance
     for mu in enumerate_nu_paths(nu):
-        rotated = [
-            delta_rotate(mu.composition, delta, valley.point[1]) for valley in valleys(mu.path)
-        ]
+        rotated = [delta_rotate(mu, delta, valley.point[1]) for valley in valleys(mu)]
         words = [LatticePath.from_composition(comp).word for comp in rotated]
-        assert list(enumerate(words)) == naive_rotations(mu.path.word, delta.entries)
+        word = LatticePath.from_composition(mu).word
+        assert list(enumerate(words)) == naive_rotations(word, delta.entries)
+
+
+@settings(max_examples=40)
+@given(instances(MAX_CENSUS_ELEMENTS))
+def test_flushed_reduced_vectors_match_the_right_flushed_trees(instance):
+    region = build_region(*instance)
+    for mu in enumerate_nu_paths(region.nu):
+        expected = reduced_column_vector(right_flushing(mu, region))
+        assert flushed_reduced_vector(mu, region) == expected

@@ -17,3 +17,30 @@ def test_library_code_has_no_assert():
         if isinstance(node, ast.Assert)
     ]
     assert found == []
+
+
+def alttamari_imports(source: str) -> list[str]:
+    """Imports of the package itself, absolute or relative, found in a module's source."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found += [a.name for a in node.names if a.name.split(".")[0] == "alttamari"]
+        elif isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if node.level or module.split(".")[0] == "alttamari":
+                found.append("." * node.level + module)
+    return found
+
+
+def test_import_finder_sees_absolute_and_relative_imports():
+    source = (
+        "import os\nimport alttamari.paths\nfrom alttamari import order\n"
+        "from . import trees\nfrom .vectors import row_vector\n"
+    )
+    assert alttamari_imports(source) == ["alttamari.paths", "alttamari", ".", ".vectors"]
+
+
+def test_oracle_imports_nothing_from_the_package():
+    # the brute-force oracle is the reference for the package, so it may not reuse its code
+    oracle = Path(alttamari.__file__).parent / "oracle.py"
+    assert alttamari_imports(oracle.read_text()) == []

@@ -6,7 +6,6 @@ from alttamari import (
     ContractError,
     IncrementVector,
     LatticePath,
-    NuPath,
     build_lattice,
     build_region,
     enumerate_nu_paths,
@@ -37,12 +36,10 @@ def test_horizontal_flushing_figure_pair():
     mu = (1, 0, 1, 1, 3, 2, 1, 2)
     dmax = IncrementVector.maximal(nu)
     d2 = IncrementVector((0, 0, 1, 2, 0, 1, 0), nu)
-    source = right_flushing(NuPath(LatticePath.from_composition(mu), nu), build_region(nu, dmax))
-    target = horizontal_flushing(source, d2)
+    source = right_flushing(mu, build_region(nu, dmax))
+    target = horizontal_flushing(source, build_region(nu, d2))
     assert row_vector(source) == row_vector(target) == mu
-    assert target.nodes == right_flushing(
-        NuPath(LatticePath.from_composition(mu), nu), build_region(nu, d2)
-    ).nodes
+    assert target.nodes == right_flushing(mu, build_region(nu, d2)).nodes
 
 
 def test_vertical_flushing_figure_pairs():
@@ -50,38 +47,46 @@ def test_vertical_flushing_figure_pairs():
     mu = (1, 0, 1, 1, 3, 2, 1, 2)
     dmax = IncrementVector.maximal(nu)
     d2 = IncrementVector((0, 0, 1, 2, 0, 1, 0), nu)
-    source = right_flushing(NuPath(LatticePath.from_composition(mu), nu), build_region(nu, dmax))
-    target = vertical_flushing(source, d2)
+    source = right_flushing(mu, build_region(nu, dmax))
+    target = vertical_flushing(source, build_region(nu, d2))
     expected = (0, 1, 0, 0, 0, 0, 1, 1, 0, 3, 0)
     assert reduced_column_vector(source) == expected
     assert reduced_column_vector(target) == expected
     target.validate()
-    assert vertical_flushing(target, dmax).nodes == source.nodes
+    assert vertical_flushing(target, build_region(nu, dmax)).nodes == source.nodes
 
 
 def test_flushings_are_identity_for_same_increments(eneen):
     d = IncrementVector((1, 0), eneen)
-    tree = right_flushing(NuPath(eneen, eneen), build_region(eneen, d))
-    assert horizontal_flushing(tree, d) is tree
-    assert vertical_flushing(tree, d) is tree
+    tree = right_flushing(eneen.composition, build_region(eneen, d))
+    assert horizontal_flushing(tree, build_region(eneen, d)) is tree
+    assert vertical_flushing(tree, build_region(eneen, d)) is tree
+
+
+def test_flushings_refuse_a_region_over_another_nu(eneen):
+    tree = right_flushing(eneen.composition, build_region(eneen, IncrementVector((1, 0), eneen)))
+    other = LatticePath("ENEEEN")
+    target = build_region(other, IncrementVector((1, 0), other))
+    for flushing in (horizontal_flushing, vertical_flushing):
+        with pytest.raises(ContractError, match="target region lies over 'ENEEEN'"):
+            flushing(tree, target)
 
 
 def test_flushings_are_bijections_with_inverses():
     for nu in all_base_paths(6):
-        deltas = list(increment_box(nu))
-        for d1, d2 in itertools.permutations(deltas, 2):
-            region = build_region(nu, d1)
-            trees = [right_flushing(mu, region) for mu in enumerate_nu_paths(nu)]
+        regions = {delta: build_region(nu, delta) for delta in increment_box(nu)}
+        for d1, d2 in itertools.permutations(regions, 2):
+            trees = [right_flushing(mu, regions[d1]) for mu in enumerate_nu_paths(nu)]
             h_images = set()
             v_images = set()
             for tree in trees:
-                h_image = horizontal_flushing(tree, d2)
+                h_image = horizontal_flushing(tree, regions[d2])
                 assert row_vector(h_image) == row_vector(tree)
-                assert horizontal_flushing(h_image, d1).nodes == tree.nodes
+                assert horizontal_flushing(h_image, regions[d1]).nodes == tree.nodes
                 h_images.add(h_image.nodes)
-                v_image = vertical_flushing(tree, d2)
+                v_image = vertical_flushing(tree, regions[d2])
                 assert reduced_column_vector(v_image) == reduced_column_vector(tree)
-                assert vertical_flushing(v_image, d1).nodes == tree.nodes
+                assert vertical_flushing(v_image, regions[d1]).nodes == tree.nodes
                 v_images.add(v_image.nodes)
             assert len(h_images) == len(trees)
             assert len(v_images) == len(trees)
@@ -91,7 +96,7 @@ def test_transport_left_interval(eneen):
     d2 = IncrementVector((2, 0), eneen)
     d0 = IncrementVector((0, 0), eneen)
     region = build_region(eneen, d2)
-    bottom = right_flushing(NuPath(LatticePath.from_composition((0, 3, 0)), eneen), region)
+    bottom = right_flushing((0, 3, 0), region)
     witness = next(iter(left_intervals_from(bottom, 3)))
     top = apply_horizontal(bottom, witness)
     bottom2, top2 = transport_left_interval(bottom, top, d0)
@@ -107,7 +112,7 @@ def test_transport_right_interval(eneen):
     d2 = IncrementVector((2, 0), eneen)
     d1 = IncrementVector((1, 0), eneen)
     region = build_region(eneen, d2)
-    top = right_flushing(NuPath(LatticePath.from_composition((0, 2, 1)), eneen), region)
+    top = right_flushing((0, 2, 1), region)
     witness = next(iter(right_intervals_to(top, 2)))
     bottom = apply_vertical(top, witness)
     bottom2, top2 = transport_right_interval(bottom, top, d1)
@@ -221,7 +226,7 @@ def test_restricted_census_matches_the_oracle_on_bad_bases():
     for nu in all_base_paths(6):
         for base in bad_bases(nu):
             full = build_lattice(base, IncrementVector.maximal(base))
-            members = [i for i, mu in enumerate(full.elements) if is_weakly_above(mu.path, nu)]
+            members = [i for i, mu in enumerate(full.elements) if is_weakly_above(mu, nu.composition)]
             index = {i: k for k, i in enumerate(members)}
             covers = [
                 (index[low], index[high])

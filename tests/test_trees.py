@@ -4,7 +4,6 @@ from alttamari import (
     ContractError,
     IncrementVector,
     LatticePath,
-    NuPath,
     RotationError,
     RotationLeavesRegion,
     ambient_base,
@@ -150,12 +149,19 @@ def test_compatibility_respects_the_ambient_staircase(eneen):
 
 def test_flushing_figure_examples(eneen):
     r20 = build_region(eneen, IncrementVector((2, 0), eneen))
-    bottom = right_flushing(NuPath(eneen, eneen), r20)
+    bottom = right_flushing(eneen.composition, r20)
     assert bottom.nodes == {(0, 0), (1, 0), (0, 1), (2, 1), (3, 1), (0, 2)}
-    top = right_flushing(NuPath(LatticePath.from_composition((0, 0, 3)), eneen), r20)
+    top = right_flushing((0, 0, 3), r20)
     assert top.nodes == {(1, 0), (3, 1), (0, 2), (1, 2), (2, 2), (3, 2)}
-    assert left_flushing(bottom).composition == (1, 2, 0)
-    assert left_flushing(top).composition == (0, 0, 3)
+    assert left_flushing(bottom) == (1, 2, 0)
+    assert left_flushing(top) == (0, 0, 3)
+
+
+def test_right_flushing_rejects_paths_not_above_nu(eneen):
+    r20 = build_region(eneen, IncrementVector((2, 0), eneen))
+    for mu in [(2, 1, 0), (1, 2), (1, 2, 0, 0), (1, 1, 0), (1, 1, 2), (-1, 4, 0)]:
+        with pytest.raises(ContractError, match="not weakly above"):
+            right_flushing(mu, r20)
 
 
 def test_flushing_single_row():
@@ -171,7 +177,7 @@ def test_flushing_round_trips_exhaustively():
         seen = set()
         for mu in enumerate_nu_paths(nu):
             tree = right_flushing(mu, region)
-            assert left_flushing(tree).path == mu.path
+            assert left_flushing(tree) == mu
             assert frozenset(tree.nodes) not in seen
             seen.add(frozenset(tree.nodes))
 
@@ -215,8 +221,8 @@ def test_trees_are_ambient_trees_inside_the_region():
 
 def test_rotation_figure_edge(eneen):
     r20 = build_region(eneen, IncrementVector((2, 0), eneen))
-    bottom = right_flushing(NuPath(eneen, eneen), r20)
-    target = right_flushing(NuPath(LatticePath.from_composition((0, 3, 0)), eneen), r20)
+    bottom = right_flushing(eneen.composition, r20)
+    target = right_flushing((0, 3, 0), r20)
     rotated = tree_rotation(bottom, (0, 0))
     assert rotated.nodes == target.nodes
     assert tree_rotation_down(target, (1, 1)).nodes == bottom.nodes
@@ -224,7 +230,7 @@ def test_rotation_figure_edge(eneen):
 
 def test_rotation_error_cases(eneen):
     r20 = build_region(eneen, IncrementVector((2, 0), eneen))
-    bottom = right_flushing(NuPath(eneen, eneen), r20)
+    bottom = right_flushing(eneen.composition, r20)
     with pytest.raises(RotationError):
         tree_rotation(bottom, (1, 0))  # nothing above, nothing to the right
     with pytest.raises(RotationError):
@@ -253,10 +259,9 @@ def test_rotation_correspondence_with_path_rotation():
         region = build_region(nu, delta)
         for mu in enumerate_nu_paths(nu):
             tree = right_flushing(mu, region)
-            for valley in valleys(mu.path):
-                rotated = delta_rotate(mu.composition, delta, valley.point[1])
-                rotated_path = NuPath(LatticePath.from_composition(rotated), nu)
-                rotated_tree = right_flushing(rotated_path, region)
+            for valley in valleys(mu):
+                rotated = delta_rotate(mu, delta, valley.point[1])
+                rotated_tree = right_flushing(rotated, region)
                 moved_out = tree.nodes - rotated_tree.nodes
                 moved_in = rotated_tree.nodes - tree.nodes
                 assert len(moved_out) == 1 and len(moved_in) == 1

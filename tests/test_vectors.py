@@ -5,7 +5,6 @@ import pytest
 from alttamari import (
     IncrementVector,
     LatticePath,
-    NuPath,
     build_region,
     column_vector,
     down_flushing,
@@ -24,14 +23,13 @@ from alttamari import (
     validate_row_vector,
 )
 from alttamari.trees import GridTree, bottom_tree
-from alttamari.vectors import VectorValidationError
+from alttamari.vectors import VectorValidationError, flushed_reduced_vector
 
 from conftest import all_base_paths, all_instances
 
 
 def tree_of(comp, nu, delta):
-    region = build_region(nu, delta)
-    return right_flushing(NuPath(LatticePath.from_composition(comp), nu), region)
+    return right_flushing(comp, build_region(nu, delta))
 
 
 def test_row_vector_examples(eneen):
@@ -45,7 +43,7 @@ def test_row_vector_is_left_flushing_composition():
         region = build_region(nu, delta)
         for mu in enumerate_nu_paths(nu):
             tree = right_flushing(mu, region)
-            assert row_vector(tree) == left_flushing(tree).composition == mu.composition
+            assert row_vector(tree) == left_flushing(tree) == mu
 
 
 def test_column_order_examples(eneen):
@@ -170,6 +168,14 @@ def test_valid_vectors_biject_with_paths():
             c for c in reduced_candidates if validate_reduced_column_vector(c, nu) is None
         ]
         assert len(valid_reduced) == len(paths)
+
+
+def test_flushed_reduced_vector_is_the_right_flushed_trees_vector():
+    for nu, delta in all_instances(7):
+        region = build_region(nu, delta)
+        for mu in enumerate_nu_paths(nu):
+            expected = reduced_column_vector(right_flushing(mu, region))
+            assert flushed_reduced_vector(mu, region) == expected
 
 
 def test_down_flushing_round_trips():
