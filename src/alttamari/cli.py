@@ -3,8 +3,9 @@
 Exit codes:
 
 * 0 success;
+* 1 standard output closed early, as by ``| head -1``, with nothing on stderr;
 * 2 usage errors: malformed path or increment literals, missing or
-  conflicting arguments, a negative ``--max-size``, a ``--sample`` below 2,
+  conflicting arguments, a ``--max-size`` outside 0..12, a ``--sample`` below 2,
   an ``mtamari-check --m`` or ``--n`` below 1;
 * 3 validation errors on otherwise well-formed input: a path that is not
   weakly above nu, a tree file that cannot be read, is not JSON, lacks a
@@ -21,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from . import oracle
@@ -50,6 +52,7 @@ from .vectors import reduced_column_vector, row_vector
 USAGE_ERROR = 2
 VALIDATION_ERROR = 3
 INVARIANT_BREACH = 4
+MAX_SWEEP_SIZE = 12
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -130,6 +133,8 @@ def cmd_verify(args) -> int:
         raise _Usage("verify needs --nu or --max-size")
     if args.max_size is not None and args.max_size < 0:
         raise _Usage(f"--max-size must be >= 0, got {args.max_size}")
+    if args.max_size is not None and args.max_size > MAX_SWEEP_SIZE:
+        raise _Usage(f"--max-size must be <= {MAX_SWEEP_SIZE}, got {args.max_size}")
     if args.sample is not None and args.sample < 2:
         raise _Usage(f"--sample must be >= 2, got {args.sample}")
     requested = None if args.nu is None else parse_path(args.nu)
@@ -336,7 +341,9 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
     except (_Usage, PathSyntaxError) as err:
         print(f"usage error: {err}", file=sys.stderr)
         return USAGE_ERROR
@@ -346,6 +353,11 @@ def main(argv: list[str] | None = None) -> int:
     except (_Breach, LatticeLawError) as err:
         print(f"invariant breach: {err}", file=sys.stderr)
         return INVARIANT_BREACH
+    except BrokenPipeError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 1
 
 
 if __name__ == "__main__":

@@ -155,8 +155,6 @@ class FiniteLattice:
     """One alt nu-Tamari lattice, fully materialized."""
 
     def __init__(self, nu: LatticePath, delta: IncrementVector):
-        if delta.nu != nu:
-            raise ContractError(f"increment vector bound to {delta.nu.word!r}, not {nu.word!r}")
         self.nu = nu
         self.delta = delta
         self.region: GridRegion = build_region(nu, delta)
@@ -417,8 +415,6 @@ def extension_check(nu: LatticePath, delta: IncrementVector, delta2: IncrementVe
     contained in the order for delta and returns the number of related
     pairs checked.
     """
-    if delta.nu != nu or delta2.nu != nu:
-        raise ContractError("increment vectors must be bound to nu")
     if any(d > d2 for d, d2 in zip(delta.entries, delta2.entries)):
         raise ContractError(f"increment vectors {delta.entries} and {delta2.entries} are not comparable")
     coarse = build_lattice(nu, delta)

@@ -22,6 +22,10 @@ the excursion ends on the first row k > j whose delta_k brings the
 running elevation to at most mu_k, and the rotated path has mu_j - 1 and
 mu_k + 1.  Since the step moves to a strictly higher row, the rotated
 path lies strictly above the old one and stays weakly above nu.
+
+The ballot check (:func:`ballot_violation`), which characterizes nu-paths
+and row and column vectors, and the check that an increment vector is
+bound to nu (:func:`check_bound`) live here and nowhere else.
 """
 
 from __future__ import annotations
@@ -127,17 +131,40 @@ def all_base_paths(max_size: int) -> Iterator[LatticePath]:
             yield LatticePath("".join(NORTH if bits >> i & 1 else EAST for i in range(length)))
 
 
-def is_weakly_above(composition: tuple[int, ...], base: tuple[int, ...]) -> bool:
-    """Whether a composition ends where base does, never east of it on the way."""
-    if len(composition) != len(base):
-        return False
+@dataclass(frozen=True)
+class Violation:
+    condition: int
+    index: int | None
+    message: str
+
+    def __str__(self) -> str:
+        return self.message
+
+
+def ballot_violation(
+    v: tuple[int, ...], bounds: tuple[int, ...], what: str, letter: str, require_total: bool
+) -> Violation | None:
+    """The first condition v breaks: (0) length of bounds, (1) no negative entry,
+    (2) prefix sums within those of bounds, (3) if require_total, equal totals."""
+    if len(v) != len(bounds):
+        return Violation(0, None, f"{what} has {len(v)} entries, expected {len(bounds)}")
+    for i, entry in enumerate(v):
+        if entry < 0:
+            return Violation(1, i, f"condition (1): negative entry {letter}_{i}={entry}")
     total = bound = 0
-    for entry, cap in zip(composition, base):
+    for j, (entry, cap) in enumerate(zip(v, bounds)):
         total += entry
         bound += cap
-        if entry < 0 or total > bound:
-            return False
-    return total == bound
+        if total > bound:
+            return Violation(2, j, f"condition (2): prefix sum {total} > {bound} at j={j}")
+    if require_total and total != bound:
+        return Violation(3, None, f"condition (3): total {total} != {bound}")
+    return None
+
+
+def is_weakly_above(composition: tuple[int, ...], base: tuple[int, ...]) -> bool:
+    """Whether a composition ends where base does, never east of it on the way."""
+    return ballot_violation(composition, base, "composition", "mu", require_total=True) is None
 
 
 @dataclass(frozen=True)
@@ -272,11 +299,12 @@ def ambient_base(nu: LatticePath, delta: IncrementVector) -> LatticePath:
     so the alt lattice embeds as the interval from nu to the top path inside
     the full rotation lattice of this base.
     """
-    _check_nu(nu, delta)
+    check_bound(nu, delta)
     head = nu.m - sum(delta.entries)
     return LatticePath.from_composition((head,) + delta.entries)
 
 
-def _check_nu(nu: LatticePath, delta: IncrementVector) -> None:
+def check_bound(nu: LatticePath, delta: IncrementVector) -> None:
+    """Raise ContractError unless delta is an increment vector of nu."""
     if delta.nu != nu:
         raise ContractError(f"increment vector is bound to {delta.nu.word!r}, not {nu.word!r}")

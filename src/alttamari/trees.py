@@ -35,7 +35,7 @@ from .paths import (
     ContractError,
     IncrementVector,
     LatticePath,
-    ambient_base,
+    check_bound,
     is_weakly_above,
     parse_path,
 )
@@ -59,14 +59,7 @@ class GridRegion:
     delta: IncrementVector
 
     def __post_init__(self) -> None:
-        if self.delta.nu != self.nu:
-            raise ContractError(
-                f"increment vector bound to {self.delta.nu.word!r}, not {self.nu.word!r}"
-            )
-
-    @cached_property
-    def ambient(self) -> LatticePath:
-        return ambient_base(self.nu, self.delta)
+        check_bound(self.nu, self.delta)
 
     @property
     def m(self) -> int:
@@ -154,15 +147,14 @@ def compatible(p: Point, q: Point, region: GridRegion) -> bool:
 
     p and q are incompatible when one is strictly southwest of the other
     and the rectangle spanned by them lies inside the staircase above the
-    ambient base path, i.e. its bottom-right corner does not poke below it.
+    ambient base path: its bottom-right corner (x, y) has x <= row_hi[y].
     """
     (px, py), (qx, qy) = p, q
     if px == qx or py == qy:
         return True
     if (px < qx) != (py < qy):
         return True
-    reach = region.ambient.east_prefixes
-    return max(px, qx) > reach[min(py, qy)]
+    return max(px, qx) > region.row_hi[min(py, qy)]
 
 
 @dataclass(frozen=True)

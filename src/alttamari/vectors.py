@@ -14,41 +14,30 @@ The column lengths and both column orders are shape data of the region,
 cached on :class:`alttamari.trees.GridRegion`; ``reduced_column_order``
 here only reads the region.  ``flushed_reduced_vector`` reads the reduced
 column vector of a right-flushed tree off the integer row fill, without
-building the tree.
+building the tree.  The validators run :func:`alttamari.paths.ballot_violation`.
 
 The down flushing algorithms reconstruct the tree from the column or the
-reduced column vector by filling columns right to left, bottom to top,
+reduced column vector with the fill of :func:`alttamari.trees.flushed_rows`,
+rows and columns swapped: columns right to left, each bottom to top,
 skipping positions to the left of an already placed node that is not the
-topmost of its column.  In the reduced variant, the non-relevant points of
-a column that are still unblocked are forced into the tree before the
-counted relevant nodes are placed.
+topmost of its column.  The reduced variant also forces in the unblocked
+non-relevant points of each column.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable
 
-from .paths import ContractError, LatticePath, reverse_path
-from .trees import GridRegion, GridTree, Point, flushed_rows
+from .paths import ContractError, LatticePath, Violation, ballot_violation, reverse_path
+from .trees import GridRegion, GridTree, Point, flushed_rows, left_flushing
 
 
 class VectorValidationError(ValueError):
     """A candidate vector violates its characterization."""
 
 
-@dataclass(frozen=True)
-class Violation:
-    condition: int
-    index: int | None
-    message: str
-
-    def __str__(self) -> str:
-        return self.message
-
-
 def row_vector(tree: GridTree) -> tuple[int, ...]:
-    return tuple(len(tree.by_row[y]) - 1 for y in range(tree.region.n + 1))
+    return left_flushing(tree)
 
 
 def column_vector(tree: GridTree) -> tuple[int, ...]:
@@ -86,37 +75,17 @@ def _reduced_counts(rows: Iterable[list[int]], region: GridRegion) -> tuple[int,
     return tuple(counts[x] for x in region.reduced_column_order)
 
 
-def _ballot_check(
-    v: tuple[int, ...], bounds: tuple[int, ...], what: str, letter: str, require_total: bool
-) -> Violation | None:
-    """Nonnegative entries whose prefix sums stay within those of bounds."""
-    if len(v) != len(bounds):
-        return Violation(0, None, f"{what} has {len(v)} entries, expected {len(bounds)}")
-    for i, entry in enumerate(v):
-        if entry < 0:
-            return Violation(1, i, f"condition (1): negative entry {letter}_{i}={entry}")
-    total = bound = 0
-    for j, (entry, cap) in enumerate(zip(v, bounds)):
-        total += entry
-        bound += cap
-        if total > bound:
-            return Violation(2, j, f"condition (2): prefix sum {total} > {bound} at j={j}")
-    if require_total and total != bound:
-        return Violation(3, None, f"condition (3): total {total} != {bound}")
-    return None
-
-
 def validate_row_vector(r: tuple[int, ...], nu: LatticePath) -> Violation | None:
-    return _ballot_check(r, nu.composition, "row vector", "r", require_total=True)
+    return ballot_violation(r, nu.composition, "row vector", "r", require_total=True)
 
 
 def validate_column_vector(c: tuple[int, ...], nu: LatticePath) -> Violation | None:
-    return _ballot_check(c, reverse_path(nu).composition, "vector", "c", require_total=True)
+    return ballot_violation(c, reverse_path(nu).composition, "vector", "c", require_total=True)
 
 
 def validate_reduced_column_vector(c: tuple[int, ...], nu: LatticePath) -> Violation | None:
     bounds = reverse_path(nu).composition[:-1]
-    return _ballot_check(c, bounds, "vector", "c", require_total=False)
+    return ballot_violation(c, bounds, "vector", "c", require_total=False)
 
 
 def down_flushing(c: tuple[int, ...], region: GridRegion) -> GridTree:
@@ -130,8 +99,8 @@ def down_flushing(c: tuple[int, ...], region: GridRegion) -> GridTree:
     problem = validate_column_vector(tuple(c), region.nu)
     if problem is not None:
         raise VectorValidationError(str(problem))
-    count_at = {x: c[i] + 1 for i, x in enumerate(region.column_order)}
-    return _flush_columns(region, lambda x: count_at[x], force_nonrelevant=False)
+    entries = dict(zip(region.column_order, c))
+    return _flush_columns(region, entries, force_nonrelevant=False)
 
 
 def reduced_down_flushing(c: tuple[int, ...], region: GridRegion) -> GridTree:
@@ -139,25 +108,26 @@ def reduced_down_flushing(c: tuple[int, ...], region: GridRegion) -> GridTree:
     problem = validate_reduced_column_vector(tuple(c), region.nu)
     if problem is not None:
         raise VectorValidationError(str(problem))
-    count_at = {x: c[i] + 1 for i, x in enumerate(region.reduced_column_order)}
-    return _flush_columns(region, lambda x: count_at.get(x, 0), force_nonrelevant=True)
+    entries = dict(zip(region.reduced_column_order, c))
+    return _flush_columns(region, entries, force_nonrelevant=True)
 
 
-def _flush_columns(region: GridRegion, count_at, force_nonrelevant: bool) -> GridTree:
+def _flush_columns(region: GridRegion, entries: dict, force_nonrelevant: bool) -> GridTree:
     blocked: set[int] = set()
     nodes: list[Point] = []
     for x in range(region.m, -1, -1):
-        free = [y for y in range(region.column_floor[x], region.n + 1) if y not in blocked]
+        want, taken = entries.get(x, -1) + 1, 0  # column 0 has no reduced entry
         placed: list[int] = []
-        if force_nonrelevant:
-            placed.extend(y for y in free if region.is_nonrelevant(x, y))
-        want = count_at(x)
-        remaining = [y for y in free if y not in placed]
-        take = remaining[:want]
-        if len(take) < want:
+        for y in range(region.column_floor[x], region.n + 1):
+            if y in blocked:
+                continue
+            if force_nonrelevant and region.row_lo[y] == x:
+                placed.append(y)
+            elif taken < want:
+                placed.append(y)
+                taken += 1
+        if taken < want:
             raise ContractError(f"column {x} cannot hold {want} more nodes")
-        placed.extend(take)
-        placed.sort()
         nodes.extend((x, y) for y in placed)
         blocked.update(placed[:-1])  # all but the topmost; columns further left skip these rows
     return GridTree(region, frozenset(nodes))

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import alttamari
 from alttamari.cli import main
 
 
@@ -212,6 +217,22 @@ def test_verify_rejects_negative_max_size(capsys):
     assert "--max-size" in err
 
 
+def test_verify_refuses_a_max_size_above_twelve(capsys, monkeypatch):
+    # the sweep walks 2^(size + 1) - 1 words; 13 letters is already refused before any build
+    import alttamari.cli
+    import alttamari.transport
+
+    def refuse(nu, delta):
+        raise AssertionError("no lattice may be built")
+
+    for module in (alttamari.cli, alttamari.transport):
+        monkeypatch.setattr(module, "build_lattice", refuse)
+    code, out, err = run(capsys, "verify", "--max-size", "13")
+    assert code == 2
+    assert out == ""
+    assert err == "usage error: --max-size must be <= 12, got 13\n"
+
+
 @pytest.mark.parametrize("sample", ["1", "0", "-3"])
 def test_verify_rejects_samples_below_two(capsys, sample):
     code, out, err = run(capsys, "verify", "--nu", "NEENEENEE", "--sample", sample)
@@ -359,3 +380,17 @@ def test_unwritable_out_file_is_a_validation_error(tmp_path, capsys, command):
     assert err.startswith(f"validation error: cannot write output file {str(target)!r}: ")
     assert len(err.splitlines()) == 1
     assert not target.parent.exists()
+
+
+def test_a_closed_stdout_ends_quietly_with_exit_1():
+    # a reader that stops early, like ``| head -1``, gets no traceback on stderr
+    src = str(Path(alttamari.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    argv = [sys.executable, "-m", "alttamari.cli", "paths", "--nu", "NEENEENEENEENEENEENEE"]
+    proc = subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    assert proc.stdout.readline().split(b"\t")[1] == b"NEENEENEENEENEENEENEE"
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=60)
+    assert proc.returncode == 1
+    assert err == b""

@@ -8,6 +8,7 @@ from alttamari import (
     IncrementVector,
     LatticePath,
     LatticeLawError,
+    ambient_base,
     build_lattice,
     build_region,
     enumerate_nu_paths,
@@ -266,3 +267,20 @@ def test_dot_export_is_deterministic():
     assert dot == lat2.to_dot()
     assert dot.startswith("digraph") and dot.count("->") == 24
     assert 'n0 [label="1,2,0,0"];' in dot
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda nu, delta: build_region(nu, delta),
+        lambda nu, delta: build_lattice(nu, delta),
+        lambda nu, delta: ambient_base(nu, delta),
+        lambda nu, delta: extension_check(nu, delta, IncrementVector.maximal(nu)),
+        lambda nu, delta: extension_check(nu, IncrementVector.zero(nu), delta),
+    ],
+    ids=["build_region", "build_lattice", "ambient_base", "extension_delta", "extension_delta2"],
+)
+def test_an_increment_vector_of_another_nu_is_refused(call):
+    nu, other = LatticePath("ENEEN"), LatticePath("NEENE")
+    with pytest.raises(ContractError, match="bound to"):
+        call(nu, IncrementVector((0, 0), other))

@@ -202,13 +202,19 @@ def test_trees_are_maximal():
                 assert any(not compatible(extra, node, region) for node in tree.nodes)
 
 
+def test_row_bounds_are_the_ambient_reach():
+    # compatibility reads the ambient staircase off row_hi
+    for nu, delta in all_instances(8):
+        assert build_region(nu, delta).row_hi == ambient_base(nu, delta).east_prefixes
+
+
 def test_trees_are_ambient_trees_inside_the_region():
     # the trees of (nu, delta) are exactly the trees of the ambient base
     # whose nodes all lie in the smaller region
     for nu, delta in all_instances(6):
         region = build_region(nu, delta)
         ours = {right_flushing(mu, region).nodes for mu in enumerate_nu_paths(nu)}
-        ambient = region.ambient
+        ambient = ambient_base(region.nu, region.delta)
         ambient_region = build_region(ambient, IncrementVector.maximal(ambient))
         points = set(region.points())
         theirs = set()

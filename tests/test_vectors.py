@@ -22,6 +22,7 @@ from alttamari import (
     validate_reduced_column_vector,
     validate_row_vector,
 )
+from alttamari.paths import is_weakly_above
 from alttamari.trees import GridTree, bottom_tree
 from alttamari.vectors import VectorValidationError, flushed_reduced_vector
 
@@ -145,6 +146,17 @@ def test_validate_column_vector_examples(eneen):
     assert validate_reduced_column_vector((0, 1, 0), eneen) is None
     assert validate_reduced_column_vector((1, 1, 0), eneen).condition == 2
     assert validate_reduced_column_vector((), LatticePath("NN")) is None
+
+
+def test_row_vector_validation_is_the_weakly_above_test():
+    for nu in all_base_paths(5):
+        m, n = nu.m, nu.n
+        candidates = itertools.chain(
+            itertools.product(range(-1, m + 2), repeat=n + 1),
+            [(0,) * n, (0,) * (n + 2), nu.composition[:-1], nu.composition + (0,)],
+        )
+        for v in candidates:
+            assert is_weakly_above(v, nu.composition) == (validate_row_vector(v, nu) is None)
 
 
 def test_valid_vectors_biject_with_paths():
