@@ -149,7 +149,7 @@ def cmd_verify(args) -> int:
 
 def _verify_one(nu: LatticePath, args) -> int:
     failures, censuses = 0, None
-    if args.max_size is not None and nu.n > 0:
+    if args.max_size is not None:
         failures, censuses = _cross_check(nu)
     report = verify_theorem(nu, sample=args.sample, seed=args.seed, censuses=censuses)
     status = "ok" if report.all_equal else "MISMATCH"

@@ -7,12 +7,16 @@ linear extension (the base path gets id 0, the top path the last id), so
 reachability closures are a single sweep and meet/join reduce to bit
 tricks on the closure rows.  Words are spelled out only for export.
 
-Non-trivial linear intervals split into left intervals, generated from a
-bottom tree by rotating a run of nodes in one row, and right intervals,
-generated towards a top tree by down-rotating a run of nodes in one
-column.  The number of left intervals of length k below a tree is the
-number of row-vector entries (last row excluded) that are >= k; dually
-for right intervals with the reduced column vector.
+Non-trivial linear intervals split into left intervals and right
+intervals, and the census counts both on paths, from their bottoms.  At a
+valley ending row y, moving 1..mu_y east steps of row y up to the end of
+the excursion that follows gives one left interval of each length, and
+moving one east step past 1..r consecutive excursions gives one right
+interval of each length, r being the length of that run of excursions
+(:func:`alttamari.paths.excursion_ends`).  On trees the same intervals
+rotate a run of nodes in one row up from the bottom tree, or a run of
+nodes in one column down from the top tree; the witnesses below find
+those runs, and the row and reduced column vectors count them.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from .paths import (
     ContractError,
@@ -29,6 +33,7 @@ from .paths import (
     LatticePath,
     delta_rotate,
     enumerate_nu_paths,
+    excursion_ends,
     valleys,
 )
 from .trees import (
@@ -41,7 +46,6 @@ from .trees import (
     tree_rotation,
     tree_rotation_down,
 )
-from .vectors import flushed_reduced_vector
 
 TRIVIAL = "trivial"
 LEFT = "left"
@@ -131,24 +135,38 @@ def _count_at_least(histogram: Counter, longest: int) -> list[int]:
 
 
 def census_from_entries(
-    size: int, row_entries: Iterable[int], column_entries: Iterable[int]
+    size: int, left_entries: Iterable[int], right_entries: Iterable[int]
 ) -> Census:
     """Linear interval counts of a poset of ``size`` elements from its entries.
 
-    A row entry r is the bottom of one left interval of each length 1..r,
-    a column entry c the top of one right interval of each length 1..c.
-    Length-1 intervals are the covers, counted once from each side, so
-    the two counts must agree.
+    A left entry l stands for one left interval of each length 1..l, a
+    right entry r for one right interval of each length 1..r.  Length-1
+    intervals are the covers, counted once from each side, so the two
+    counts must agree.
     """
-    rows = Counter(row_entries)
-    columns = Counter(column_entries)
-    longest = max(chain(rows, columns), default=0)
-    left = _count_at_least(rows, longest)
-    right = _count_at_least(columns, longest)
+    lefts = Counter(left_entries)
+    rights = Counter(right_entries)
+    longest = max(chain(lefts, rights), default=0)
+    left = _count_at_least(lefts, longest)
+    right = _count_at_least(rights, longest)
     if left[:1] != right[:1]:
         raise LatticeLawError(f"length-1 counts disagree: left={left[0]} right={right[0]}")
     totals = [size] + left[:1] + [a + b for a, b in zip(left[1:], right[1:])]
     return Census(tuple(totals), tuple(left), tuple(right))
+
+
+def path_census(paths: Sequence[tuple[int, ...]], delta: IncrementVector) -> Census:
+    """Linear interval counts of an upper set of delta-rotation paths, from their bottoms.
+
+    Row y < n of a path holds one left entry, mu_y; each valley (mu_y > 0)
+    holds one right entry, the number of consecutive excursions after it.
+    """
+    n = delta.nu.n
+    return census_from_entries(
+        len(paths),
+        (entry for mu in paths for entry in mu[:n]),
+        (len(excursion_ends(mu, delta, y)) for mu in paths for y in range(n) if mu[y]),
+    )
 
 
 class FiniteLattice:
@@ -278,12 +296,7 @@ class FiniteLattice:
         return True, size - 1
 
     def census(self) -> Census:
-        n, region = self.nu.n, self.region
-        census = census_from_entries(
-            len(self.elements),
-            (entry for mu in self.elements for entry in mu[:n]),
-            (entry for mu in self.elements for entry in flushed_reduced_vector(mu, region)),
-        )
+        census = path_census(self.elements, self.delta)
         covers = len(self.covers)
         if census.totals[1:2] != ((covers,) if covers else ()):
             raise LatticeLawError(f"length-1 counts disagree: covers={covers} census={census}")

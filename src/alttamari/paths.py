@@ -21,7 +21,10 @@ On compositions a rotation moves one east step.  A valley ending row j
 the excursion ends on the first row k > j whose delta_k brings the
 running elevation to at most mu_k, and the rotated path has mu_j - 1 and
 mu_k + 1.  Since the step moves to a strictly higher row, the rotated
-path lies strictly above the old one and stays weakly above nu.
+path lies strictly above the old one and stays weakly above nu.  When
+the excursion ends with row k's last east step, the next excursion
+starts right after it; :func:`excursion_ends` walks this run of
+consecutive excursions once, for the rotation and for the census.
 
 The ballot check (:func:`ballot_violation`), which characterizes nu-paths
 and row and column vectors, and the check that an increment vector is
@@ -239,37 +242,36 @@ def enumerate_nu_paths(nu: LatticePath) -> list[tuple[int, ...]]:
     order.  Since every nu-path has prefix sums bounded by those of nu, the
     base path nu itself always comes first and the top path N^n E^m last;
     the order is also a linear extension of every alt nu-Tamari lattice.
+    Each next path takes one east step off the highest row j < n that has
+    one and gives the rows above j as many as nu allows.
     """
-    bounds = nu.east_prefixes
-    n = nu.n
-    m = nu.m
-    results: list[tuple[int, ...]] = []
-
-    def extend(prefix: list[int], total: int) -> None:
-        j = len(prefix)
-        if j == n:
-            prefix.append(m - total)
-            results.append(tuple(prefix))
-            prefix.pop()
-            return
-        # largest entries first gives decreasing lexicographic order directly
-        for c in range(bounds[j] - total, -1, -1):
-            prefix.append(c)
-            extend(prefix, total + c)
-            prefix.pop()
-
-    extend([], 0)
+    comp, bounds, n, m = nu.composition, nu.east_prefixes, nu.n, nu.m
+    mu = list(comp)
+    results = [comp]
+    j = n - 1
+    while j >= 0:
+        if not mu[j]:
+            j -= 1
+            continue
+        slack = bounds[j] - m + mu[n]  # rows j + 1..n - 1 are empty
+        mu[j] -= 1
+        mu[j + 1 :] = comp[j + 1 :]
+        mu[j + 1] += slack + 1
+        results.append(tuple(mu))
+        j = n - 1
     return results
 
 
-def delta_rotate(composition: tuple[int, ...], delta: IncrementVector, row: int) -> tuple[int, ...]:
-    """Rotate at the valley ending row ``row``: one east step moves up to the excursion's end.
+def excursion_ends(composition: tuple[int, ...], delta: IncrementVector, row: int) -> tuple[int, ...]:
+    """The rows on which the consecutive excursions after the valley ending ``row`` end.
 
-    The excursion starts with the north step leaving ``row``.  Walking up
-    from the next row with elevation 0, row k adds delta_k; if the
-    elevation is then at most mu_k, the excursion ends on row k, which
-    gains the east step the valley row loses.  Otherwise row k's east steps
-    take mu_k off the elevation and the walk goes on.
+    The first excursion starts with the north step leaving ``row``.
+    Walking up from the next row with elevation 0, row k adds delta_k; if
+    the elevation is then at most mu_k, the excursion ends on row k after
+    that many east steps.  Otherwise row k's east steps take mu_k off the
+    elevation and the walk goes on.  An excursion that ends with the last
+    east step of row k < n is followed by the next one, which starts with
+    the north step leaving row k.
     """
     n = delta.nu.n
     if len(composition) != n + 1:
@@ -280,16 +282,29 @@ def delta_rotate(composition: tuple[int, ...], delta: IncrementVector, row: int)
     if not (0 <= row < n and composition[row] > 0):
         raise ContractError(f"the end of row {row} of {composition} is not a valley")
     entries = delta.entries
+    ends: list[int] = []
     elevation = 0
     for k in range(row + 1, n + 1):
         elevation += entries[k - 1]
-        if elevation <= composition[k]:
-            rotated = list(composition)
-            rotated[row] -= 1
-            rotated[k] += 1
-            return tuple(rotated)
-        elevation -= composition[k]
-    raise ContractError(f"elevation never returns to zero after row {row} of {composition}")
+        if elevation > composition[k]:
+            elevation -= composition[k]
+            continue
+        ends.append(k)
+        if elevation < composition[k]:
+            break
+        elevation = 0
+    if not ends:
+        raise ContractError(f"elevation never returns to zero after row {row} of {composition}")
+    return tuple(ends)
+
+
+def delta_rotate(composition: tuple[int, ...], delta: IncrementVector, row: int) -> tuple[int, ...]:
+    """Rotate at the valley ending row ``row``: one east step moves up to the excursion's end."""
+    end = excursion_ends(composition, delta, row)[0]
+    rotated = list(composition)
+    rotated[row] -= 1
+    rotated[end] += 1
+    return tuple(rotated)
 
 
 def ambient_base(nu: LatticePath, delta: IncrementVector) -> LatticePath:

@@ -7,7 +7,9 @@ flushing row by row, right intervals along vertical flushing column by
 column, which is why every alt nu-Tamari lattice over a fixed nu has the
 same number of linear intervals of each length.  ``verify_theorem`` checks
 that statement head-on by computing the census of every lattice in the
-increment box.
+increment box.  ``restricted_census`` counts the linear intervals of a
+full rotation lattice restricted to the nu-paths with the same path
+census, without building that lattice.
 """
 
 from __future__ import annotations
@@ -15,16 +17,15 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from math import comb
-from typing import Iterator
 
 from .order import (
     Census,
     apply_horizontal,
     apply_vertical,
     build_lattice,
-    census_from_entries,
     left_intervals_from,
     left_witness,
+    path_census,
     right_intervals_to,
     right_witness,
 )
@@ -32,11 +33,12 @@ from .paths import (
     ContractError,
     IncrementVector,
     LatticePath,
+    delta_rotate,
     enumerate_nu_paths,
     increment_box,
     is_weakly_above,
 )
-from .trees import GridRegion, GridTree, build_region, left_flushing, right_flushing, tree_rotation_down
+from .trees import GridRegion, GridTree, build_region, left_flushing, right_flushing
 from .vectors import reduced_column_vector, reduced_down_flushing
 
 
@@ -163,42 +165,22 @@ def restricted_census(nu: LatticePath, base: LatticePath) -> RestrictedReport:
 
     `base` must lie weakly below nu with the same endpoints.  Rotations
     only raise a path, so the nu-paths form an upper set of the full
-    lattice: every left interval from a member stays, and a member keeps
-    its row entries.  Down-rotating a column run of a member, top first,
-    walks down the bottoms of ever longer right intervals to it, and the
-    members among them form a prefix of the run, whose length is the
-    member's column entry.  When some east run of `base` after its first
-    north step exceeds the one of nu, right counts may drop; left counts
-    never do.  No equality is asserted here: callers compare the reported
-    census with the alt lattice's one.
+    lattice: an interval whose bottom is a nu-path lies wholly among
+    them, and counting each nu-path's intervals from the bottom, as
+    :func:`alttamari.order.path_census` does over base's maximal
+    increment vector, is exact.  The minimal nu-paths are those that no
+    rotation of a nu-path reaches.  When some east run of `base` after
+    its first north step exceeds the one of nu, right counts may drop;
+    left counts never do.  No equality is asserted here: callers compare
+    the reported census with the alt lattice's one.
     """
     if not is_weakly_above(nu.composition, base.composition):
         raise ContractError(f"{base.word!r} does not lie weakly below {nu.word!r}")
-    full = build_lattice(base, IncrementVector.maximal(base))
-    member_ids = [
-        i for i, element in enumerate(full.elements) if is_weakly_above(element, nu.composition)
-    ]
-    mask = sum(1 << i for i in member_ids)
-    minimal = sum(1 for i in member_ids if full.down[i] & mask == 1 << i)
-
-    census = census_from_entries(
-        len(member_ids),
-        (entry for i in member_ids for entry in full.elements[i][: nu.n]),
-        (entry for i in member_ids for entry in _member_runs(full.trees[i], nu)),
-    )
-    return RestrictedReport(nu, base, len(member_ids), minimal, census)
-
-
-def _member_runs(tree: GridTree, nu: LatticePath) -> Iterator[int]:
-    """Per reduced column, the down-rotations of its run (top first) that stay above nu."""
-    for x in tree.region.reduced_column_order:
-        current, run = tree, 0
-        for y in reversed(tree.relevant_column(x)[1:]):
-            current = tree_rotation_down(current, (x, y))
-            if not is_weakly_above(left_flushing(current), nu.composition):
-                break
-            run += 1
-        yield run
+    delta = IncrementVector.maximal(base)
+    members = enumerate_nu_paths(nu)
+    raised = {delta_rotate(mu, delta, y) for mu in members for y in range(nu.n) if mu[y]}
+    census = path_census(members, delta)
+    return RestrictedReport(nu, base, len(members), len(members) - len(raised), census)
 
 
 def bad_bases(nu: LatticePath) -> list[LatticePath]:

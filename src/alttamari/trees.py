@@ -20,9 +20,10 @@ column orders that index column and reduced column vectors.
 A nu-path is its composition mu.  The right flushing bijection sends it
 to the tree with mu_i + 1 nodes in row i, filling rows bottom to top and
 right to left while skipping every position that sits above an already
-placed node that is not the leftmost of its row; :func:`flushed_rows` is
-that fill on integer rows, without building the tree.  Left flushing
-inverts it by reading off the per-row node counts as a composition.
+placed node that is not the leftmost of its row.  Left flushing inverts
+it by reading off the per-row node counts as a composition.  The census
+does not go through trees: it counts linear intervals on the paths
+themselves (:func:`alttamari.order.path_census`).
 """
 
 from __future__ import annotations
@@ -271,16 +272,17 @@ def tree_rotation_down(tree: GridTree, q: Point) -> GridTree:
     return _rotate(tree, q, up=False)
 
 
-def flushed_rows(mu: tuple[int, ...], region: GridRegion) -> list[list[int]]:
-    """The columns of the right-flushed tree's nodes, per row, right to left.
+def right_flushing(mu: tuple[int, ...], region: GridRegion) -> GridTree:
+    """The tree with mu_i + 1 nodes in row i.
 
     Rows are filled bottom to top, each row right to left, skipping the
     columns blocked by a previously placed node that is not the leftmost
-    of its row (such a node forbids every position above it).  mu must
-    lie weakly above the region's nu.
+    of its row (such a node forbids every position above it).
     """
+    if not is_weakly_above(mu, region.nu.composition):
+        raise ContractError(f"{mu} is not weakly above {region.nu.composition}")
     blocked: set[int] = set()
-    rows: list[list[int]] = []
+    nodes: list[Point] = []
     for y, count in enumerate(mu):
         lo, hi = region.row_lo[y], region.row_hi[y]
         placed = []
@@ -291,17 +293,9 @@ def flushed_rows(mu: tuple[int, ...], region: GridRegion) -> list[list[int]]:
             x -= 1
         if len(placed) < count + 1:
             raise ContractError(f"row {y} cannot hold {count + 1} nodes")
-        rows.append(placed)
+        nodes.extend((x, y) for x in placed)
         blocked.update(placed[:-1])  # all but the leftmost placed
-    return rows
-
-
-def right_flushing(mu: tuple[int, ...], region: GridRegion) -> GridTree:
-    """The tree with mu_i + 1 nodes in row i."""
-    if not is_weakly_above(mu, region.nu.composition):
-        raise ContractError(f"{mu} is not weakly above {region.nu.composition}")
-    rows = flushed_rows(mu, region)
-    return GridTree(region, frozenset((x, y) for y, xs in enumerate(rows) for x in xs))
+    return GridTree(region, frozenset(nodes))
 
 
 def left_flushing(tree: GridTree) -> tuple[int, ...]:

@@ -12,12 +12,12 @@ A tree is determined by any one of three count vectors:
 
 The column lengths and both column orders are shape data of the region,
 cached on :class:`alttamari.trees.GridRegion`; ``reduced_column_order``
-here only reads the region.  ``flushed_reduced_vector`` reads the reduced
-column vector of a right-flushed tree off the integer row fill, without
-building the tree.  The validators run :func:`alttamari.paths.ballot_violation`.
+here only reads the region.  The validators run
+:func:`alttamari.paths.ballot_violation`.  The census reads no vector: it
+counts on paths (:func:`alttamari.order.path_census`).
 
 The down flushing algorithms reconstruct the tree from the column or the
-reduced column vector with the fill of :func:`alttamari.trees.flushed_rows`,
+reduced column vector with the fill of :func:`alttamari.trees.right_flushing`,
 rows and columns swapped: columns right to left, each bottom to top,
 skipping positions to the left of an already placed node that is not the
 topmost of its column.  The reduced variant also forces in the unblocked
@@ -26,10 +26,8 @@ non-relevant points of each column.
 
 from __future__ import annotations
 
-from typing import Iterable
-
 from .paths import ContractError, LatticePath, Violation, ballot_violation, reverse_path
-from .trees import GridRegion, GridTree, Point, flushed_rows, left_flushing
+from .trees import GridRegion, GridTree, Point, left_flushing
 
 
 class VectorValidationError(ValueError):
@@ -57,21 +55,12 @@ def reduced_column_order(region: GridRegion) -> tuple[int, ...]:
 
 
 def reduced_column_vector(tree: GridTree) -> tuple[int, ...]:
-    return _reduced_counts(tree.by_row.values(), tree.region)
-
-
-def flushed_reduced_vector(mu: tuple[int, ...], region: GridRegion) -> tuple[int, ...]:
-    """The reduced column vector of ``right_flushing(mu, region)``; mu lies weakly above nu."""
-    return _reduced_counts(flushed_rows(mu, region), region)
-
-
-def _reduced_counts(rows: Iterable[list[int]], region: GridRegion) -> tuple[int, ...]:
-    """Relevant nodes per reduced column, minus one, from each row's node columns, bottom up."""
+    """Relevant nodes per reduced column, minus one, in reduced column order."""
+    region = tree.region
     counts = [-1] * (region.m + 1)
-    for xs, lo in zip(rows, region.row_lo):
-        for x in xs:
-            if x != lo:
-                counts[x] += 1
+    for x, y in tree.nodes:
+        if x != region.row_lo[y]:
+            counts[x] += 1
     return tuple(counts[x] for x in region.reduced_column_order)
 
 

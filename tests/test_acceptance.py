@@ -34,7 +34,6 @@ from alttamari.transport import bad_bases, horizontal_flushing, vertical_flushin
 from alttamari.vectors import (
     column_vector,
     down_flushing,
-    flushed_reduced_vector,
     reduced_column_vector,
     reduced_down_flushing,
     row_vector,
@@ -144,7 +143,7 @@ def test_criterion_5_counting_propositions():
             n = nu.n
             for i, tree in enumerate(lat.trees):
                 rows = row_vector(tree)
-                reduced = flushed_reduced_vector(lat.elements[i], lat.region)
+                reduced = reduced_column_vector(tree)
                 longest = max([0, *rows[:n], *reduced])
                 for ell in range(1, longest + 1):
                     assert len(left_intervals_from(tree, ell)) == sum(

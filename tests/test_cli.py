@@ -31,6 +31,15 @@ def test_paths_single(capsys):
     assert len(out.strip().splitlines()) == 1
 
 
+def test_one_path_lattices_with_more_rows_than_the_recursion_limit(capsys):
+    tall = "N" * 1200
+    code, out, err = run(capsys, "paths", "--nu", tall)
+    assert (code, out, err) == (0, f"0\t{tall}\t{','.join('0' * 1201)}\n", "")
+    code, out, err = run(capsys, "census", "--nu", tall, "--delta", ",".join("0" * 1200))
+    assert (code, err) == (0, "")
+    assert out.splitlines()[1:] == ["0\t1\t-\t-"]
+
+
 def test_lattice_dot(capsys):
     code, out, _ = run(capsys, "lattice", "--nu", "ENEENN", "--delta", "1,0,0", "--format", "dot")
     assert code == 0
@@ -261,6 +270,24 @@ def test_verify_sweep_builds_each_lattice_once(capsys, monkeypatch):
     assert len(set(built)) == len(built)
 
 
+def test_verify_sweep_cross_checks_every_base_word(capsys, monkeypatch):
+    # the empty word and E, EE, EEE get the lattice laws and the oracle too
+    from alttamari import oracle
+    from alttamari.paths import all_base_paths, increment_box
+
+    closures = []
+    closure_from_covers = oracle.closure_from_covers
+
+    def counting(size, covers):
+        closures.append(size)
+        return closure_from_covers(size, covers)
+
+    monkeypatch.setattr(oracle, "closure_from_covers", counting)
+    code, _, _ = run(capsys, "verify", "--max-size", "3", "--sample", "2")
+    assert code == 0
+    assert len(closures) == sum(len(list(increment_box(nu))) for nu in all_base_paths(3))
+
+
 def test_verify_checks_a_requested_path_inside_the_sweep_once(capsys):
     code, out, _ = run(capsys, "verify", "--nu", "NE", "--max-size", "2")
     assert code == 0
@@ -333,7 +360,7 @@ def assert_breach(code, out, err):
 def test_census_breach_exits_4(monkeypatch, capsys):
     import alttamari.order
 
-    monkeypatch.setattr(alttamari.order, "flushed_reduced_vector", lambda mu, region: ())
+    monkeypatch.setattr(alttamari.order, "excursion_ends", lambda composition, delta, row: ())
     assert_breach(*run(capsys, "census", "--nu", "ENEEN", "--delta", "1,0"))
 
 

@@ -20,7 +20,8 @@ from alttamari import (
 )
 from alttamari import oracle
 from alttamari.order import NON_LINEAR, LEFT, RIGHT, TRIVIAL, apply_horizontal, apply_vertical
-from alttamari.vectors import flushed_reduced_vector
+from alttamari.paths import excursion_ends
+from alttamari.vectors import reduced_column_vector
 
 from conftest import all_base_paths, all_instances
 
@@ -129,7 +130,7 @@ def test_witness_counts_match_formulas_and_apply():
         lat = build_lattice(nu, delta)
         for i, tree in enumerate(lat.trees):
             comp = lat.elements[i]
-            reduced = flushed_reduced_vector(comp, lat.region)
+            reduced = reduced_column_vector(tree)
             longest = max([0, *comp[: nu.n], *reduced])
             for ell in range(1, longest + 1):
                 lefts = left_intervals_from(tree, ell)
@@ -146,32 +147,74 @@ def test_witness_counts_match_formulas_and_apply():
                     assert linear and length == ell
 
 
-def test_census_decomposition_families():
+def linear_pairs_by_length(lat) -> dict[int, set[tuple[int, int]]]:
+    """The non-trivial linear intervals the closure scan finds, by length."""
+    matrix = oracle.closure_from_covers(len(lat), [(a, b) for a, b, _ in lat.covers])
+    by_scan: dict[int, set[tuple[int, int]]] = {}
+    for a in range(len(lat)):
+        for b in range(len(lat)):
+            if matrix[a] >> b & 1 and a != b:
+                linear, length = oracle.oracle_is_linear(matrix, a, b)
+                if linear:
+                    by_scan.setdefault(length, set()).add((a, b))
+    return by_scan
+
+
+def assert_families_split(by_scan, lefts, rights):
     # for every length >= 2 the left and right families are disjoint and
     # together exhaust the linear intervals the closure scan finds
+    for length in set(by_scan) | set(lefts) | set(rights):
+        pairs = by_scan.get(length, set())
+        left, right = lefts.get(length, set()), rights.get(length, set())
+        assert left | right == pairs
+        if length >= 2:
+            assert not left & right
+        else:
+            assert left == right == pairs
+
+
+def test_census_decomposition_families():
     for nu, delta in all_instances(5):
         lat = build_lattice(nu, delta)
-        matrix = oracle.closure_from_covers(len(lat), [(a, b) for a, b, _ in lat.covers])
-        by_scan: dict[int, set[tuple[int, int]]] = {}
-        for a in range(len(lat)):
-            for b in range(len(lat)):
-                if matrix[a] >> b & 1 and a != b:
-                    linear, length = oracle.oracle_is_linear(matrix, a, b)
-                    if linear:
-                        by_scan.setdefault(length, set()).add((a, b))
-        for length, pairs in by_scan.items():
-            lefts = set()
-            rights = set()
+        by_scan = linear_pairs_by_length(lat)
+        lefts: dict[int, set[tuple[int, int]]] = {}
+        rights: dict[int, set[tuple[int, int]]] = {}
+        for length in by_scan:
             for i, tree in enumerate(lat.trees):
                 for witness in left_intervals_from(tree, length):
-                    lefts.add((i, lat.tree_id(apply_horizontal(tree, witness))))
+                    lefts.setdefault(length, set()).add((i, lat.tree_id(apply_horizontal(tree, witness))))
                 for witness in right_intervals_to(tree, length):
-                    rights.add((lat.tree_id(apply_vertical(tree, witness)), i))
-            assert lefts | rights == pairs
-            if length >= 2:
-                assert not lefts & rights
-            else:
-                assert lefts == rights == pairs
+                    rights.setdefault(length, set()).add((lat.tree_id(apply_vertical(tree, witness)), i))
+        assert_families_split(by_scan, lefts, rights)
+
+
+def moved(mu: tuple[int, ...], row: int, end: int, steps: int) -> tuple[int, ...]:
+    """mu with ``steps`` east steps moved from ``row`` up to ``end``."""
+    out = list(mu)
+    out[row] -= steps
+    out[end] += steps
+    return tuple(out)
+
+
+def test_path_families_are_the_linear_intervals():
+    # left: l east steps of a valley row move to the end of the excursion
+    # after it; right: one east step moves past l consecutive excursions
+    for nu, delta in all_instances(6):
+        lat = build_lattice(nu, delta)
+        lefts: dict[int, set[tuple[int, int]]] = {}
+        rights: dict[int, set[tuple[int, int]]] = {}
+        for i, mu in enumerate(lat.elements):
+            for y in range(nu.n):
+                if not mu[y]:
+                    continue
+                ends = excursion_ends(mu, delta, y)
+                for length in range(1, mu[y] + 1):
+                    top = lat.element_id(moved(mu, y, ends[0], length))
+                    lefts.setdefault(length, set()).add((i, top))
+                for length, end in enumerate(ends, start=1):
+                    top = lat.element_id(moved(mu, y, end, 1))
+                    rights.setdefault(length, set()).add((i, top))
+        assert_families_split(linear_pairs_by_length(lat), lefts, rights)
 
 
 def test_classify_examples(eneen):

@@ -17,6 +17,7 @@ from alttamari import (
     reduced_down_flushing,
     right_flushing,
     right_intervals_to,
+    row_vector,
     valleys,
 )
 from alttamari.order import (
@@ -24,11 +25,12 @@ from alttamari.order import (
     RIGHT,
     apply_horizontal,
     apply_vertical,
+    census_from_entries,
     left_witness,
+    path_census,
     right_witness,
 )
 from alttamari.oracle import count_paths_above, dyck_marked_counts, naive_rotations
-from alttamari.vectors import flushed_reduced_vector
 
 MAX_SIZE = 14
 # Lattices built per example stay this small; the unbuilt properties use
@@ -135,8 +137,14 @@ def test_rotations_on_compositions_match_word_rotations(instance):
 
 @settings(max_examples=40)
 @given(instances(MAX_CENSUS_ELEMENTS))
-def test_flushed_reduced_vectors_match_the_right_flushed_trees(instance):
-    region = build_region(*instance)
-    for mu in enumerate_nu_paths(region.nu):
-        expected = reduced_column_vector(right_flushing(mu, region))
-        assert flushed_reduced_vector(mu, region) == expected
+def test_path_census_matches_the_right_flushed_trees_vectors(instance):
+    nu, delta = instance
+    region = build_region(nu, delta)
+    paths = enumerate_nu_paths(nu)
+    trees = [right_flushing(mu, region) for mu in paths]
+    expected = census_from_entries(
+        len(paths),
+        (entry for tree in trees for entry in row_vector(tree)[: nu.n]),
+        (entry for tree in trees for entry in reduced_column_vector(tree)),
+    )
+    assert path_census(paths, delta) == expected

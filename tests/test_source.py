@@ -19,6 +19,43 @@ def test_library_code_has_no_assert():
     assert found == []
 
 
+def self_calls(source: str) -> list[str]:
+    """Functions, nested ones included, whose body calls the function by its own name."""
+    return [
+        f"{node.name}:{call.lineno}"
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        for call in ast.walk(node)
+        if isinstance(call, ast.Call)
+        and isinstance(call.func, ast.Name)
+        and call.func.id == node.name
+    ]
+
+
+def test_self_call_finder_sees_nested_functions():
+    source = (
+        "def outer(n):\n"
+        "    def walk(k):\n"
+        "        return walk(k - 1) if k else 0\n"
+        "    return walk(n) + other(n)\n"
+    )
+    assert self_calls(source) == ["walk:3"]
+
+
+def test_library_code_does_not_recurse():
+    # one stack frame per row ends in RecursionError on tall inputs; only the
+    # brute-force oracle, which runs on small inputs, may recurse
+    modules = sorted(Path(alttamari.__file__).parent.rglob("*.py"))
+    assert modules
+    found = [
+        f"{path.name}:{call}"
+        for path in modules
+        if path.name != "oracle.py"
+        for call in self_calls(path.read_text())
+    ]
+    assert found == []
+
+
 def alttamari_imports(source: str) -> list[str]:
     """Imports of the package itself, absolute or relative, found in a module's source."""
     found = []

@@ -235,7 +235,12 @@ def test_restricted_census_matches_the_oracle_on_bad_bases():
             ]
             matrix = oracle.closure_from_covers(len(members), covers)
             report = restricted_census(nu, base)
-            assert report.size == len(members)
+            size = len(members)
+            assert report.size == size
+            minimal = sum(
+                1 for k in range(size) if not any(matrix[j] >> k & 1 for j in range(size) if j != k)
+            )
+            assert report.minimal_elements == minimal, (nu.word, base.word)
             assert report.census.totals == oracle.oracle_census(matrix), (nu.word, base.word)
             pairs += 1
     assert pairs == 248

@@ -22,9 +22,10 @@ from alttamari import (
     validate_reduced_column_vector,
     validate_row_vector,
 )
+from alttamari.order import census_from_entries, path_census
 from alttamari.paths import is_weakly_above
 from alttamari.trees import GridTree, bottom_tree
-from alttamari.vectors import VectorValidationError, flushed_reduced_vector
+from alttamari.vectors import VectorValidationError
 
 from conftest import all_base_paths, all_instances
 
@@ -182,12 +183,18 @@ def test_valid_vectors_biject_with_paths():
         assert len(valid_reduced) == len(paths)
 
 
-def test_flushed_reduced_vector_is_the_right_flushed_trees_vector():
+def test_path_census_matches_the_right_flushed_trees_vectors():
+    # counting on paths and counting on the vectors of their trees agree
     for nu, delta in all_instances(7):
         region = build_region(nu, delta)
-        for mu in enumerate_nu_paths(nu):
-            expected = reduced_column_vector(right_flushing(mu, region))
-            assert flushed_reduced_vector(mu, region) == expected
+        paths = enumerate_nu_paths(nu)
+        trees = [right_flushing(mu, region) for mu in paths]
+        expected = census_from_entries(
+            len(paths),
+            (entry for tree in trees for entry in row_vector(tree)[: nu.n]),
+            (entry for tree in trees for entry in reduced_column_vector(tree)),
+        )
+        assert path_census(paths, delta) == expected, (nu.word, delta.entries)
 
 
 def test_down_flushing_round_trips():
