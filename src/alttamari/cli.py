@@ -8,10 +8,10 @@ Exit codes:
   conflicting arguments, a ``--max-size`` outside 0..12, a ``--sample`` below 2,
   an ``mtamari-check --m`` or ``--n`` below 1;
 * 3 validation errors on otherwise well-formed input: a path that is not
-  weakly above nu, a tree file that cannot be read, is not JSON, lacks a
-  key, does not hold a tree of its region or lies over another nu or
-  delta than ``--nu``/``--delta``, and an ``--out`` file that cannot be
-  written;
+  weakly above nu, a tree file that cannot be read, is not JSON, nests
+  too deeply to parse, lacks a key, does not hold a tree of its region or
+  lies over another nu or delta than ``--nu``/``--delta``, and an
+  ``--out`` file that cannot be written;
 * 4 invariant breaches: a census, oracle or flushing mismatch that would
   falsify the implementation.
 
@@ -95,7 +95,7 @@ def cmd_paths(args) -> int:
 def cmd_lattice(args) -> int:
     nu = parse_path(args.nu)
     delta = _parse_delta(args.delta, nu)
-    lattice = build_lattice(nu, delta)
+    lattice = build_lattice(delta)
     if args.format == "dot":
         _emit(lattice.to_dot(), args.out)
     elif args.format == "json":
@@ -112,7 +112,7 @@ def cmd_lattice(args) -> int:
 def cmd_census(args) -> int:
     nu = parse_path(args.nu)
     delta = _parse_delta(args.delta, nu)
-    census = build_lattice(nu, delta).census()
+    census = build_lattice(delta).census()
     if args.format == "json":
         doc = {"nu": nu.word, "delta": list(delta.entries)}
         doc.update(census.to_json_dict())
@@ -165,7 +165,7 @@ def _cross_check(nu: LatticePath) -> tuple[int, dict[IncrementVector, Census]]:
     failures = 0
     censuses = {}
     for delta in increment_box(nu):
-        lattice = build_lattice(nu, delta)
+        lattice = build_lattice(delta)
         lattice.check_lattice_laws()
         covers = [(low, high) for low, high, _ in lattice.covers]
         matrix = oracle.closure_from_covers(len(lattice), covers)
@@ -180,7 +180,7 @@ def _cross_check(nu: LatticePath) -> tuple[int, dict[IncrementVector, Census]]:
 def cmd_flush(args) -> int:
     nu = parse_path(args.nu)
     delta = _parse_delta(args.delta, nu)
-    region = build_region(nu, delta)
+    region = build_region(delta)
     if (args.path is None) == (args.tree is None):
         raise _Usage("flush needs exactly one of --path or --tree")
     if args.path is not None:
@@ -212,7 +212,7 @@ def _read_tree(path: str) -> GridTree:
     try:
         with open(path) as handle:
             data = json.load(handle)
-    except (OSError, ValueError) as err:
+    except (OSError, ValueError, RecursionError) as err:
         raise _Validation(f"cannot read tree file {path!r}: {err}") from err
     if not isinstance(data, dict):
         raise _Validation(f"tree file {path!r} holds no tree: not a JSON object")
@@ -243,8 +243,8 @@ def cmd_transport(args) -> int:
     nu = parse_path(args.nu)
     delta = _parse_delta(args.delta, nu)
     delta2 = _parse_delta(args.delta2, nu)
-    source = right_flushing(_path_above(args.path, nu), build_region(nu, delta))
-    region2 = build_region(nu, delta2)
+    source = right_flushing(_path_above(args.path, nu), build_region(delta))
+    region2 = build_region(delta2)
     if args.direction == "h":
         target = horizontal_flushing(source, region2)
         name, vector = "row_vector", row_vector
@@ -268,7 +268,7 @@ def cmd_mtamari_check(args) -> int:
         if value < 1:
             raise _Usage(f"--{name} must be >= 1, got {value}")
     base = mtamari_path(args.m, args.n)
-    lattice = build_lattice(base, IncrementVector.maximal(base))
+    lattice = build_lattice(IncrementVector.maximal(base))
     census = lattice.census()
     failures = 0
     for length in range(1, args.n + 1):

@@ -165,18 +165,18 @@ def path_census(paths: Sequence[tuple[int, ...]], delta: IncrementVector) -> Cen
     return census_from_entries(
         len(paths),
         (entry for mu in paths for entry in mu[:n]),
-        (len(excursion_ends(mu, delta, y)) for mu in paths for y in range(n) if mu[y]),
+        (len(excursion_ends(mu, delta, y)) for mu in paths for y in valleys(mu)),
     )
 
 
 class FiniteLattice:
     """One alt nu-Tamari lattice, fully materialized."""
 
-    def __init__(self, nu: LatticePath, delta: IncrementVector):
-        self.nu = nu
+    def __init__(self, delta: IncrementVector):
+        self.nu = delta.nu
         self.delta = delta
-        self.region: GridRegion = build_region(nu, delta)
-        self.elements: tuple[tuple[int, ...], ...] = tuple(enumerate_nu_paths(nu))
+        self.region: GridRegion = build_region(delta)
+        self.elements: tuple[tuple[int, ...], ...] = tuple(enumerate_nu_paths(self.nu))
         self._ids = {mu: i for i, mu in enumerate(self.elements)}
         self.covers: tuple[tuple[int, int, int], ...] = self._build_covers()
         self.up, self.down = self._build_closures()
@@ -186,8 +186,8 @@ class FiniteLattice:
     def _build_covers(self) -> tuple[tuple[int, int, int], ...]:
         covers = []
         for low, mu in enumerate(self.elements):
-            for ordinal, valley in enumerate(valleys(mu)):
-                high = self._ids[delta_rotate(mu, self.delta, valley.point[1])]
+            for ordinal, row in enumerate(valleys(mu)):
+                high = self._ids[delta_rotate(mu, self.delta, row)]
                 covers.append((low, high, ordinal))
         covers.sort()
         return tuple(covers)
@@ -349,8 +349,8 @@ class FiniteLattice:
         return "\n".join(lines) + "\n"
 
 
-def build_lattice(nu: LatticePath, delta: IncrementVector) -> FiniteLattice:
-    return FiniteLattice(nu, delta)
+def build_lattice(delta: IncrementVector) -> FiniteLattice:
+    return FiniteLattice(delta)
 
 
 def left_intervals_from(tree: GridTree, length: int) -> list[HorizontalL]:
@@ -421,17 +421,20 @@ def apply_vertical(tree: GridTree, ell: VerticalL) -> GridTree:
     return current
 
 
-def extension_check(nu: LatticePath, delta: IncrementVector, delta2: IncrementVector) -> int:
+def extension_check(delta: IncrementVector, delta2: IncrementVector) -> int:
     """Assert that growing the increment vector only removes relations.
 
-    Requires delta <= delta2 entrywise; checks that the order for delta2 is
-    contained in the order for delta and returns the number of related
-    pairs checked.
+    Requires two increment vectors of the same nu with delta <= delta2
+    entrywise; checks that the order for delta2 is contained in the order
+    for delta and returns the number of related pairs checked.
     """
-    if any(d > d2 for d, d2 in zip(delta.entries, delta2.entries)):
-        raise ContractError(f"increment vectors {delta.entries} and {delta2.entries} are not comparable")
-    coarse = build_lattice(nu, delta)
-    fine = build_lattice(nu, delta2)
+    if delta.nu != delta2.nu or any(d > d2 for d, d2 in zip(delta.entries, delta2.entries)):
+        raise ContractError(
+            f"increment vectors {delta.entries} of {delta.nu.word!r} and "
+            f"{delta2.entries} of {delta2.nu.word!r} are not comparable"
+        )
+    coarse = build_lattice(delta)
+    fine = build_lattice(delta2)
     checked = 0
     for i in range(len(fine.elements)):
         if fine.up[i] & ~coarse.up[i]:

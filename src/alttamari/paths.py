@@ -26,9 +26,11 @@ the excursion ends with row k's last east step, the next excursion
 starts right after it; :func:`excursion_ends` walks this run of
 consecutive excursions once, for the rotation and for the census.
 
+An increment vector carries its base path, so delta alone fixes the
+lattice, its region and its ambient base; no function takes nu beside it.
 The ballot check (:func:`ballot_violation`), which characterizes nu-paths
-and row and column vectors, and the check that an increment vector is
-bound to nu (:func:`check_bound`) live here and nowhere else.
+and row and column vectors, and the valley rule (:func:`valleys`) live
+here and nowhere else.
 """
 
 from __future__ import annotations
@@ -216,23 +218,9 @@ def increment_box(nu: LatticePath) -> Iterator[IncrementVector]:
         yield IncrementVector(entries, nu)
 
 
-@dataclass(frozen=True)
-class Valley:
-    """An east step immediately followed by a north step."""
-
-    index: int  # position of the east step in the word
-    point: tuple[int, int]  # lattice point between the two steps
-
-
-def valleys(composition: tuple[int, ...]) -> tuple[Valley, ...]:
-    """One valley per row y < n with east steps: its east step ends at (x_y, y)."""
-    found = []
-    x = 0
-    for y, entry in enumerate(composition[:-1]):
-        x += entry
-        if entry > 0:
-            found.append(Valley(x + y - 1, (x, y)))
-    return tuple(found)
+def valleys(composition: tuple[int, ...]) -> list[int]:
+    """The rows y < n with east steps: each ends with a valley, an east step then a north step."""
+    return [y for y in range(len(composition) - 1) if composition[y]]
 
 
 def enumerate_nu_paths(nu: LatticePath) -> list[tuple[int, ...]]:
@@ -307,19 +295,12 @@ def delta_rotate(composition: tuple[int, ...], delta: IncrementVector, row: int)
     return tuple(rotated)
 
 
-def ambient_base(nu: LatticePath, delta: IncrementVector) -> LatticePath:
+def ambient_base(delta: IncrementVector) -> LatticePath:
     """The path (m - sum(delta), delta_1, ..., delta_n) lying weakly below nu.
 
     Rotating nu-paths by delta coincides with rotating them over this path,
     so the alt lattice embeds as the interval from nu to the top path inside
     the full rotation lattice of this base.
     """
-    check_bound(nu, delta)
-    head = nu.m - sum(delta.entries)
+    head = delta.nu.m - sum(delta.entries)
     return LatticePath.from_composition((head,) + delta.entries)
-
-
-def check_bound(nu: LatticePath, delta: IncrementVector) -> None:
-    """Raise ContractError unless delta is an increment vector of nu."""
-    if delta.nu != nu:
-        raise ContractError(f"increment vector is bound to {delta.nu.word!r}, not {nu.word!r}")

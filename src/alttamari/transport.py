@@ -37,6 +37,7 @@ from .paths import (
     enumerate_nu_paths,
     increment_box,
     is_weakly_above,
+    valleys,
 )
 from .trees import GridRegion, GridTree, build_region, left_flushing, right_flushing
 from .vectors import reduced_column_vector, reduced_down_flushing
@@ -77,7 +78,7 @@ def transport_left_interval(
     witness = left_witness(bottom, top, length) if length else None
     if witness is None:
         raise ContractError("the given pair of trees is not a left interval")
-    bottom2 = horizontal_flushing(bottom, build_region(bottom.region.nu, delta2))
+    bottom2 = horizontal_flushing(bottom, build_region(delta2))
     for cand in left_intervals_from(bottom2, length):
         if cand.row == witness.row:
             return bottom2, apply_horizontal(bottom2, cand)
@@ -92,7 +93,7 @@ def transport_right_interval(
     witness = right_witness(bottom, top, length) if length else None
     if witness is None:
         raise ContractError("the given pair of trees is not a right interval")
-    top2 = vertical_flushing(top, build_region(top.region.nu, delta2))
+    top2 = vertical_flushing(top, build_region(delta2))
     index = bottom.region.reduced_column_order.index(witness.column)
     column = top2.region.reduced_column_order[index]
     for cand in right_intervals_to(top2, length):
@@ -139,7 +140,7 @@ def verify_theorem(
             keep.add(rng.randrange(len(deltas)))
         deltas = [deltas[i] for i in sorted(keep)]
     if censuses is None:
-        censuses = {delta: build_lattice(nu, delta).census() for delta in deltas}
+        censuses = {delta: build_lattice(delta).census() for delta in deltas}
     reference = censuses[deltas[0]]
     mismatches = tuple(
         f"delta={delta.entries}: {censuses[delta]} != {reference}"
@@ -178,7 +179,7 @@ def restricted_census(nu: LatticePath, base: LatticePath) -> RestrictedReport:
         raise ContractError(f"{base.word!r} does not lie weakly below {nu.word!r}")
     delta = IncrementVector.maximal(base)
     members = enumerate_nu_paths(nu)
-    raised = {delta_rotate(mu, delta, y) for mu in members for y in range(nu.n) if mu[y]}
+    raised = {delta_rotate(mu, delta, y) for mu in members for y in valleys(mu)}
     census = path_census(members, delta)
     return RestrictedReport(nu, base, len(members), len(members) - len(raised), census)
 

@@ -1,6 +1,6 @@
 """Grid regions and the tree model of alt nu-Tamari lattices.
 
-For a base path nu and an increment vector delta, the region is the set of
+An increment vector delta of a base path nu fixes the region: the set of
 lattice points of the staircase shape sitting above the ambient base path
 (see :func:`alttamari.paths.ambient_base`) and cut off from below-left so
 that row y spans exactly the x-interval
@@ -36,7 +36,6 @@ from .paths import (
     ContractError,
     IncrementVector,
     LatticePath,
-    check_bound,
     is_weakly_above,
     parse_path,
 )
@@ -54,13 +53,13 @@ class RotationLeavesRegion(RotationError):
 
 @dataclass(frozen=True)
 class GridRegion:
-    """Lattice points available to the trees of one alt nu-Tamari lattice."""
+    """Lattice points available to the trees of the alt nu-Tamari lattice of delta."""
 
-    nu: LatticePath
     delta: IncrementVector
 
-    def __post_init__(self) -> None:
-        check_bound(self.nu, self.delta)
+    @property
+    def nu(self) -> LatticePath:
+        return self.delta.nu
 
     @property
     def m(self) -> int:
@@ -139,8 +138,8 @@ class GridRegion:
         return (0, self.n)
 
 
-def build_region(nu: LatticePath, delta: IncrementVector) -> GridRegion:
-    return GridRegion(nu, delta)
+def build_region(delta: IncrementVector) -> GridRegion:
+    return GridRegion(delta)
 
 
 def compatible(p: Point, q: Point, region: GridRegion) -> bool:
@@ -219,10 +218,8 @@ class GridTree:
 
 
 def tree_from_json(data: dict) -> GridTree:
-    nu = parse_path(data["nu"])
-    delta = IncrementVector(tuple(data["delta"]), nu)
-    region = build_region(nu, delta)
-    tree = GridTree(region, frozenset((x, y) for x, y in data["nodes"]))
+    delta = IncrementVector(tuple(data["delta"]), parse_path(data["nu"]))
+    tree = GridTree(build_region(delta), frozenset((x, y) for x, y in data["nodes"]))
     tree.validate()
     return tree
 

@@ -59,18 +59,18 @@ def test_criterion_1_figure_reproduction():
     with criterion(1, "figure censuses (7,8,4,1) and (16,24,16,3) for every delta"):
         nu = LatticePath("ENEEN")
         for delta in increment_box(nu):
-            assert build_lattice(nu, delta).census().totals == (7, 8, 4, 1)
+            assert build_lattice(delta).census().totals == (7, 8, 4, 1)
         assert [d.entries for d in increment_box(nu)] == [(0, 0), (1, 0), (2, 0)]
         nu = LatticePath("ENEENN")
         for delta in increment_box(nu):
-            assert build_lattice(nu, delta).census().totals == (16, 24, 16, 3)
+            assert build_lattice(delta).census().totals == (16, 24, 16, 3)
         assert [d.entries for d in increment_box(nu)] == [(0, 0, 0), (1, 0, 0), (2, 0, 0)]
 
 
 def test_criterion_2_theorem_sweep():
     with criterion(2, f"equal censuses over the full increment box, m+n <= {SWEEP_SIZE}"):
         for nu in all_base_paths(SWEEP_SIZE):
-            censuses = [build_lattice(nu, d).census() for d in increment_box(nu)]
+            censuses = [build_lattice(d).census() for d in increment_box(nu)]
             first = censuses[0]
             for c in censuses[1:]:
                 assert c.totals == first.totals, nu.word
@@ -82,12 +82,12 @@ def test_criterion_3_lattice_laws_and_interval_realization():
     with criterion(3, "meet/join everywhere; lattice = upper interval of its ambient lattice"):
         ambient_cache: dict[str, object] = {}
         for nu, delta in all_instances(SWEEP_SIZE):
-            lat = build_lattice(nu, delta)
+            lat = build_lattice(delta)
             lat.check_lattice_laws()
-            base = ambient_base(nu, delta)
+            base = ambient_base(delta)
             full = ambient_cache.get(base.word)
             if full is None:
-                full = build_lattice(base, IncrementVector.maximal(base))
+                full = build_lattice(IncrementVector.maximal(base))
                 ambient_cache[base.word] = full
             bottom = full.element_id(nu.composition)
             member_ids = sorted(
@@ -112,7 +112,7 @@ def test_criterion_3_lattice_laws_and_interval_realization():
 def test_criterion_4_oracle_equivalence():
     with criterion(4, "structured censuses and witness families equal the chain-scan oracle"):
         for nu, delta in all_instances(SWEEP_SIZE):
-            lat = build_lattice(nu, delta)
+            lat = build_lattice(delta)
             census = lat.census()
             matrix = oracle.closure_from_covers(len(lat), [(a, b) for a, b, _ in lat.covers])
             assert tuple(census.totals) == oracle.oracle_census(matrix)
@@ -139,7 +139,7 @@ def test_criterion_4_oracle_equivalence():
 def test_criterion_5_counting_propositions():
     with criterion(5, "per-tree left/right interval counts match the vector formulas"):
         for nu, delta in all_instances(SWEEP_SIZE):
-            lat = build_lattice(nu, delta)
+            lat = build_lattice(delta)
             n = nu.n
             for i, tree in enumerate(lat.trees):
                 rows = row_vector(tree)
@@ -157,7 +157,7 @@ def test_criterion_5_counting_propositions():
 def test_criterion_6_flushing_round_trips():
     with criterion(6, "flushing bijections and their reconstructions all invert"):
         for nu in all_base_paths(SWEEP_SIZE):
-            regions = [build_region(nu, delta) for delta in increment_box(nu)]
+            regions = [build_region(delta) for delta in increment_box(nu)]
             trees_by_delta = []
             for region in regions:
                 trees = [right_flushing(mu, region) for mu in enumerate_nu_paths(nu)]
@@ -190,7 +190,7 @@ def test_criterion_7_mtamari_right_formula():
     with criterion(7, "right-interval counts match the closed binomial formula"):
         for parts, height in [(1, 3), (1, 4), (2, 2), (2, 3), (2, 4), (3, 2)]:
             base = mtamari_path(parts, height)
-            census = build_lattice(base, IncrementVector.maximal(base)).census()
+            census = build_lattice(IncrementVector.maximal(base)).census()
             for length in range(1, height + 3):
                 observed = (
                     census.right[length - 1] if length <= len(census.right) else 0
@@ -205,7 +205,7 @@ def test_criterion_7_mtamari_right_formula():
 def test_criterion_8_mtamari_left_distribution():
     with criterion(8, "left distribution (728,...,1) for the two-east staircase, five rows"):
         base = mtamari_path(2, 5)
-        lat = build_lattice(base, IncrementVector.maximal(base))
+        lat = build_lattice(IncrementVector.maximal(base))
         census = lat.census()
         assert census.left == (728, 442, 222, 112, 47, 18, 5, 1)
         matrix = oracle.closure_from_covers(len(lat), [(a, b) for a, b, _ in lat.covers])
@@ -215,7 +215,7 @@ def test_criterion_8_mtamari_left_distribution():
 def test_criterion_9_marked_path_bijection():
     with criterion(9, "marked-path counts equal the valley-flip censuses, m+n <= 8"):
         for nu in all_base_paths(8):
-            census = build_lattice(nu, IncrementVector.zero(nu)).census()
+            census = build_lattice(IncrementVector.zero(nu)).census()
             longest = max(len(census.left), len(census.right), 1)
             for length in range(1, longest + 2):
                 left_marks, right_marks = oracle.dyck_marked_counts(nu.word, length)
@@ -233,7 +233,7 @@ def test_criterion_10_wrong_base_phenomenon():
     with criterion(10, "some non-admissible base drops right intervals, never left ones"):
         witness = None
         for nu in all_base_paths(SWEEP_SIZE):
-            alt = build_lattice(nu, IncrementVector.zero(nu)).census()
+            alt = build_lattice(IncrementVector.zero(nu)).census()
             for base in bad_bases(nu):
                 report = restricted_census(nu, base)
                 assert report.census.left == alt.left, (nu.word, base.word)

@@ -258,9 +258,9 @@ def test_verify_sweep_builds_each_lattice_once(capsys, monkeypatch):
 
     built = []
 
-    def counting(nu, delta):
+    def counting(delta):
         built.append(delta)
-        return build_lattice(nu, delta)
+        return build_lattice(delta)
 
     for module in (alttamari.cli, alttamari.transport):
         monkeypatch.setattr(module, "build_lattice", counting)
@@ -301,6 +301,7 @@ def test_verify_checks_a_requested_path_inside_the_sweep_once(capsys):
     [
         (None, "No such file"),
         ("{not json", "cannot read tree file"),
+        ("[" * 100_000, "cannot read tree file"),  # json raises RecursionError, not ValueError
         (json.dumps({"nu": "ENEEN", "delta": [2, 0]}), "lacks the key 'nodes'"),
         (json.dumps([1, 2]), "holds no tree"),
         (json.dumps({"nu": 5, "delta": [2, 0], "nodes": []}), "holds no tree"),
@@ -310,7 +311,7 @@ def test_verify_checks_a_requested_path_inside_the_sweep_once(capsys):
         (json.dumps({"nu": "ENEEN", "delta": [2, 0], "nodes": [[0, 2]]}), "expected 6"),
     ],
     ids=[
-        "missing", "bad-json", "no-nodes", "not-an-object", "nu-not-a-word",
+        "missing", "bad-json", "too-deep", "no-nodes", "not-an-object", "nu-not-a-word",
         "delta-not-a-list", "node-not-a-pair", "bad-nu", "not-a-tree",
     ],
 )
@@ -322,6 +323,7 @@ def test_flush_refuses_unreadable_tree_files(tmp_path, capsys, content, needle):
     assert code == 3
     assert out == ""
     assert err.startswith("validation error: ") and needle in err
+    assert len(err.splitlines()) == 1
 
 
 def test_flush_does_not_hide_library_faults_as_input_faults(tmp_path, capsys, monkeypatch):

@@ -41,7 +41,7 @@ def test_comparable_pair_totals_match_census():
     from alttamari import IncrementVector, LatticePath, build_lattice
 
     nu = LatticePath("ENEEN")
-    lat = build_lattice(nu, IncrementVector((1, 0), nu))
+    lat = build_lattice(IncrementVector((1, 0), nu))
     matrix = oracle.closure_from_covers(len(lat), [(a, b) for a, b, _ in lat.covers])
     assert oracle.oracle_census(matrix) == (7, 8, 4, 1)
     comparable = sum(row.bit_count() for row in matrix)

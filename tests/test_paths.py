@@ -118,19 +118,21 @@ def _area_below(path: LatticePath) -> int:
     return sum(path.m - p for p in path.east_prefixes[:-1])
 
 
-def _rotated_path(mu: tuple[int, ...], delta: IncrementVector, valley) -> LatticePath:
-    return LatticePath.from_composition(delta_rotate(mu, delta, valley.point[1]))
+def _rotated_path(mu: tuple[int, ...], delta: IncrementVector, row: int) -> LatticePath:
+    return LatticePath.from_composition(delta_rotate(mu, delta, row))
 
 
 def test_rotation_examples(eneen):
-    vs = valleys(eneen.composition)
-    assert [v.index for v in vs] == [0, 3]
-    assert vs[0].point == (1, 0)
+    rows = valleys(eneen.composition)
+    assert rows == [0, 1]  # ENEEN: the valleys end rows 0 and 1
+    assert [sum(eneen.composition[: y + 1]) + y - 1 for y in rows] == [0, 3]  # east steps
+    assert valleys((0, 3, 0)) == [1]  # NEEEN: no east step before the first north step
+    assert valleys((1, 2)) == [0]  # the last row never ends in a valley
     d10 = IncrementVector((1, 0), eneen)
-    assert delta_rotate(eneen.composition, d10, vs[0].point[1]) == (0, 3, 0)
-    assert delta_rotate(eneen.composition, d10, vs[1].point[1]) == (1, 1, 1)
+    assert delta_rotate(eneen.composition, d10, rows[0]) == (0, 3, 0)
+    assert delta_rotate(eneen.composition, d10, rows[1]) == (1, 1, 1)
     d00 = IncrementVector((0, 0), eneen)
-    assert delta_rotate(eneen.composition, d00, vs[0].point[1]) == (0, 3, 0)
+    assert delta_rotate(eneen.composition, d00, rows[0]) == (0, 3, 0)
 
 
 def test_rotation_rejects_non_valley(eneen):
@@ -153,8 +155,8 @@ def test_rotations_raise_area_and_stay_above():
     for nu in all_base_paths(7):
         for delta in increment_box(nu):
             for mu in enumerate_nu_paths(nu):
-                for valley in valleys(mu):
-                    rotated = _rotated_path(mu, delta, valley)
+                for row in valleys(mu):
+                    rotated = _rotated_path(mu, delta, row)
                     assert _area_below(rotated) > _area_below(LatticePath.from_composition(mu))
                     assert is_weakly_above(rotated.composition, nu.composition)
 
@@ -163,9 +165,9 @@ def test_zero_increments_flip_single_valley():
     for nu in all_base_paths(6):
         delta = IncrementVector.zero(nu)
         for mu in enumerate_nu_paths(nu):
-            for valley in valleys(mu):
-                rotated = _rotated_path(mu, delta, valley)
-                i = valley.index
+            for row in valleys(mu):
+                rotated = _rotated_path(mu, delta, row)
+                i = sum(mu[: row + 1]) + row - 1  # the valley's east step in the word
                 word = LatticePath.from_composition(mu).word
                 assert rotated.word == word[:i] + "N" + "E" + word[i + 2 :]
 
@@ -184,25 +186,24 @@ def test_rotations_coincide_with_ambient_base_rotations():
     # its own maximal increments
     for nu in all_base_paths(6):
         for delta in increment_box(nu):
-            ambient = ambient_base(nu, delta)
+            ambient = ambient_base(delta)
             ambient_delta = IncrementVector.maximal(ambient)
             for mu in enumerate_nu_paths(nu):
-                for valley in valleys(mu):
-                    row = valley.point[1]
+                for row in valleys(mu):
                     ours = delta_rotate(mu, delta, row)
                     theirs = delta_rotate(mu, ambient_delta, row)
                     assert ours == theirs
 
 
 def test_ambient_base_examples(eneen):
-    assert ambient_base(eneen, IncrementVector((1, 0), eneen)).composition == (2, 1, 0)
-    assert ambient_base(eneen, IncrementVector((2, 0), eneen)).composition == (1, 2, 0)
-    assert ambient_base(eneen, IncrementVector((0, 0), eneen)).composition == (3, 0, 0)
+    assert ambient_base(IncrementVector((1, 0), eneen)).composition == (2, 1, 0)
+    assert ambient_base(IncrementVector((2, 0), eneen)).composition == (1, 2, 0)
+    assert ambient_base(IncrementVector((0, 0), eneen)).composition == (3, 0, 0)
 
 
 def test_ambient_base_lies_below():
     for nu in all_base_paths(6):
         for delta in increment_box(nu):
-            ambient = ambient_base(nu, delta)
+            ambient = ambient_base(delta)
             assert (ambient.m, ambient.n) == (nu.m, nu.n)
             assert is_weakly_above(nu.composition, ambient.composition)

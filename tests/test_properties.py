@@ -65,7 +65,7 @@ def paths_above(draw, nu: LatticePath):
 
 @given(instances())
 def test_region_shape_matches_a_recount_from_row_bounds(instance):
-    region = build_region(*instance)
+    region = build_region(instance[1])
     spans = list(zip(region.row_lo, region.row_hi))
     columns = range(region.m + 1)
     lengths = [sum(lo <= x <= hi for lo, hi in spans) for x in columns]
@@ -84,7 +84,7 @@ def test_region_shape_matches_a_recount_from_row_bounds(instance):
 @given(st.data())
 def test_down_flushings_invert_column_vectors(data):
     nu, delta = data.draw(instances())
-    region = build_region(nu, delta)
+    region = build_region(delta)
     tree = right_flushing(data.draw(paths_above(nu)), region)
     assert down_flushing(column_vector(tree), region).nodes == tree.nodes
     assert reduced_down_flushing(reduced_column_vector(tree), region).nodes == tree.nodes
@@ -94,7 +94,7 @@ def test_down_flushings_invert_column_vectors(data):
 @given(st.data())
 def test_witnesses_agree_with_classify(data):
     nu, delta = data.draw(instances(MAX_LATTICE_ELEMENTS))
-    lattice = build_lattice(nu, delta)
+    lattice = build_lattice(delta)
     tree = lattice.trees[data.draw(st.integers(0, len(lattice) - 1))]
     length = data.draw(st.integers(1, max(1, nu.m)))
     for ell in left_intervals_from(tree, length):
@@ -117,7 +117,7 @@ def test_witnesses_agree_with_classify(data):
 @given(instances(MAX_CENSUS_ELEMENTS))
 def test_census_matches_marked_path_counts_for_every_delta(instance):
     nu, delta = instance
-    census = build_lattice(nu, delta).census()
+    census = build_lattice(delta).census()
     for length in range(1, len(nu.word) + 1):
         left = census.left[length - 1] if length <= len(census.left) else 0
         right = census.right[length - 1] if length <= len(census.right) else 0
@@ -129,7 +129,7 @@ def test_census_matches_marked_path_counts_for_every_delta(instance):
 def test_rotations_on_compositions_match_word_rotations(instance):
     nu, delta = instance
     for mu in enumerate_nu_paths(nu):
-        rotated = [delta_rotate(mu, delta, valley.point[1]) for valley in valleys(mu)]
+        rotated = [delta_rotate(mu, delta, row) for row in valleys(mu)]
         words = [LatticePath.from_composition(comp).word for comp in rotated]
         word = LatticePath.from_composition(mu).word
         assert list(enumerate(words)) == naive_rotations(word, delta.entries)
@@ -139,7 +139,7 @@ def test_rotations_on_compositions_match_word_rotations(instance):
 @given(instances(MAX_CENSUS_ELEMENTS))
 def test_path_census_matches_the_right_flushed_trees_vectors(instance):
     nu, delta = instance
-    region = build_region(nu, delta)
+    region = build_region(delta)
     paths = enumerate_nu_paths(nu)
     trees = [right_flushing(mu, region) for mu in paths]
     expected = census_from_entries(

@@ -81,3 +81,35 @@ def test_oracle_imports_nothing_from_the_package():
     # the brute-force oracle is the reference for the package, so it may not reuse its code
     oracle = Path(alttamari.__file__).parent / "oracle.py"
     assert alttamari_imports(oracle.read_text()) == []
+
+
+def nu_beside_delta(source: str) -> list[str]:
+    """Functions, methods and lambdas included, that take nu together with delta or delta2."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            args = node.args
+            names = {a.arg for a in args.posonlyargs + args.args + args.kwonlyargs}
+            if "nu" in names and names & {"delta", "delta2"}:
+                found.append(f"{getattr(node, 'name', 'lambda')}:{node.lineno}")
+    return found
+
+
+def test_nu_beside_delta_finder_sees_such_signatures():
+    source = (
+        "def region(nu, delta):\n    pass\n"
+        "class Lattice:\n    def __init__(self, delta):\n        pass\n"
+        "    def check(self, nu, *, delta2=None):\n        pass\n"
+        "lattice = lambda nu, delta: None\n"
+    )
+    assert nu_beside_delta(source) == ["region:1", "check:6", "lambda:8"]
+
+
+def test_library_code_takes_delta_without_its_nu():
+    # an increment vector carries its base path; taking both invites a pair that disagrees
+    modules = sorted(Path(alttamari.__file__).parent.rglob("*.py"))
+    assert modules
+    found = [
+        f"{path.name}:{where}" for path in modules for where in nu_beside_delta(path.read_text())
+    ]
+    assert found == []

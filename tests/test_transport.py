@@ -36,10 +36,10 @@ def test_horizontal_flushing_figure_pair():
     mu = (1, 0, 1, 1, 3, 2, 1, 2)
     dmax = IncrementVector.maximal(nu)
     d2 = IncrementVector((0, 0, 1, 2, 0, 1, 0), nu)
-    source = right_flushing(mu, build_region(nu, dmax))
-    target = horizontal_flushing(source, build_region(nu, d2))
+    source = right_flushing(mu, build_region(dmax))
+    target = horizontal_flushing(source, build_region(d2))
     assert row_vector(source) == row_vector(target) == mu
-    assert target.nodes == right_flushing(mu, build_region(nu, d2)).nodes
+    assert target.nodes == right_flushing(mu, build_region(d2)).nodes
 
 
 def test_vertical_flushing_figure_pairs():
@@ -47,26 +47,26 @@ def test_vertical_flushing_figure_pairs():
     mu = (1, 0, 1, 1, 3, 2, 1, 2)
     dmax = IncrementVector.maximal(nu)
     d2 = IncrementVector((0, 0, 1, 2, 0, 1, 0), nu)
-    source = right_flushing(mu, build_region(nu, dmax))
-    target = vertical_flushing(source, build_region(nu, d2))
+    source = right_flushing(mu, build_region(dmax))
+    target = vertical_flushing(source, build_region(d2))
     expected = (0, 1, 0, 0, 0, 0, 1, 1, 0, 3, 0)
     assert reduced_column_vector(source) == expected
     assert reduced_column_vector(target) == expected
     target.validate()
-    assert vertical_flushing(target, build_region(nu, dmax)).nodes == source.nodes
+    assert vertical_flushing(target, build_region(dmax)).nodes == source.nodes
 
 
 def test_flushings_are_identity_for_same_increments(eneen):
     d = IncrementVector((1, 0), eneen)
-    tree = right_flushing(eneen.composition, build_region(eneen, d))
-    assert horizontal_flushing(tree, build_region(eneen, d)) is tree
-    assert vertical_flushing(tree, build_region(eneen, d)) is tree
+    tree = right_flushing(eneen.composition, build_region(d))
+    assert horizontal_flushing(tree, build_region(d)) is tree
+    assert vertical_flushing(tree, build_region(d)) is tree
 
 
 def test_flushings_refuse_a_region_over_another_nu(eneen):
-    tree = right_flushing(eneen.composition, build_region(eneen, IncrementVector((1, 0), eneen)))
+    tree = right_flushing(eneen.composition, build_region(IncrementVector((1, 0), eneen)))
     other = LatticePath("ENEEEN")
-    target = build_region(other, IncrementVector((1, 0), other))
+    target = build_region(IncrementVector((1, 0), other))
     for flushing in (horizontal_flushing, vertical_flushing):
         with pytest.raises(ContractError, match="target region lies over 'ENEEEN'"):
             flushing(tree, target)
@@ -74,7 +74,7 @@ def test_flushings_refuse_a_region_over_another_nu(eneen):
 
 def test_flushings_are_bijections_with_inverses():
     for nu in all_base_paths(6):
-        regions = {delta: build_region(nu, delta) for delta in increment_box(nu)}
+        regions = {delta: build_region(delta) for delta in increment_box(nu)}
         for d1, d2 in itertools.permutations(regions, 2):
             trees = [right_flushing(mu, regions[d1]) for mu in enumerate_nu_paths(nu)]
             h_images = set()
@@ -95,13 +95,13 @@ def test_flushings_are_bijections_with_inverses():
 def test_transport_left_interval(eneen):
     d2 = IncrementVector((2, 0), eneen)
     d0 = IncrementVector((0, 0), eneen)
-    region = build_region(eneen, d2)
+    region = build_region(d2)
     bottom = right_flushing((0, 3, 0), region)
     witness = next(iter(left_intervals_from(bottom, 3)))
     top = apply_horizontal(bottom, witness)
     bottom2, top2 = transport_left_interval(bottom, top, d0)
     assert row_vector(bottom2) == (0, 3, 0)
-    lat0 = build_lattice(eneen, d0)
+    lat0 = build_lattice(d0)
     linear, length = lat0.is_linear(lat0.tree_id(bottom2), lat0.tree_id(top2))
     assert linear and length == 3
     with pytest.raises(ContractError):
@@ -111,13 +111,13 @@ def test_transport_left_interval(eneen):
 def test_transport_right_interval(eneen):
     d2 = IncrementVector((2, 0), eneen)
     d1 = IncrementVector((1, 0), eneen)
-    region = build_region(eneen, d2)
+    region = build_region(d2)
     top = right_flushing((0, 2, 1), region)
     witness = next(iter(right_intervals_to(top, 2)))
     bottom = apply_vertical(top, witness)
     bottom2, top2 = transport_right_interval(bottom, top, d1)
     assert reduced_column_vector(top2) == reduced_column_vector(top)
-    lat1 = build_lattice(eneen, d1)
+    lat1 = build_lattice(d1)
     linear, length = lat1.is_linear(lat1.tree_id(bottom2), lat1.tree_id(top2))
     assert linear and length == 2
     with pytest.raises(ContractError):
@@ -127,7 +127,7 @@ def test_transport_right_interval(eneen):
 def test_transport_preserves_per_length_counts():
     for nu in all_base_paths(5):
         deltas = list(increment_box(nu))
-        censuses = [build_lattice(nu, d).census() for d in deltas]
+        censuses = [build_lattice(d).census() for d in deltas]
         assert all(c.left == censuses[0].left for c in censuses)
         assert all(c.right == censuses[0].right for c in censuses)
 
@@ -135,8 +135,8 @@ def test_transport_preserves_per_length_counts():
 def test_transport_covers_map_to_covers(eneen):
     d2 = IncrementVector((2, 0), eneen)
     d0 = IncrementVector((0, 0), eneen)
-    lat = build_lattice(eneen, d2)
-    lat0 = build_lattice(eneen, d0)
+    lat = build_lattice(d2)
+    lat0 = build_lattice(d0)
     for low, high, _ in lat.covers:
         b2, t2 = transport_left_interval(lat.trees[low], lat.trees[high], d0)
         linear, length = lat0.is_linear(lat0.tree_id(b2), lat0.tree_id(t2))
@@ -177,7 +177,7 @@ def test_verify_theorem_reads_given_censuses(eneen, monkeypatch):
     import alttamari.transport
 
     expected = verify_theorem(eneen)
-    censuses = {delta: build_lattice(eneen, delta).census() for delta in increment_box(eneen)}
+    censuses = {delta: build_lattice(delta).census() for delta in increment_box(eneen)}
     monkeypatch.setattr(alttamari.transport, "build_lattice", lambda nu, delta: pytest.fail("rebuilt"))
     assert verify_theorem(eneen, censuses=censuses) == expected
     single = Census((1,), (), ())
@@ -225,7 +225,7 @@ def test_restricted_census_matches_the_oracle_on_bad_bases():
     pairs = 0
     for nu in all_base_paths(6):
         for base in bad_bases(nu):
-            full = build_lattice(base, IncrementVector.maximal(base))
+            full = build_lattice(IncrementVector.maximal(base))
             members = [i for i, mu in enumerate(full.elements) if is_weakly_above(mu, nu.composition)]
             index = {i: k for k, i in enumerate(members)}
             covers = [
@@ -255,7 +255,7 @@ def test_restricted_census_witness():
     assert report.census.totals == (3, 2)
     assert report.census.left == (2,)
     assert report.census.right == (2,)
-    alt = build_lattice(nu, IncrementVector.zero(nu)).census()
+    alt = build_lattice(IncrementVector.zero(nu)).census()
     assert alt.totals == (3, 2, 1)
     assert alt.left == report.census.left
     assert alt.right == (2, 1)
@@ -266,9 +266,9 @@ def test_restricted_census_control_case(eneen):
     for delta in increment_box(eneen):
         from alttamari import ambient_base
 
-        base = ambient_base(eneen, delta)
+        base = ambient_base(delta)
         report = restricted_census(eneen, base)
-        assert report.census == build_lattice(eneen, delta).census()
+        assert report.census == build_lattice(delta).census()
         assert report.minimal_elements == 1
 
 
@@ -290,7 +290,7 @@ def test_mtamari_formula_examples():
 def test_mtamari_formula_matches_enumeration_small():
     for parts, height in [(1, 3), (2, 2), (2, 3), (3, 2)]:
         base = mtamari_path(parts, height)
-        census = build_lattice(base, IncrementVector.maximal(base)).census()
+        census = build_lattice(IncrementVector.maximal(base)).census()
         for length in range(1, height + 2):
             got = census.right[length - 1] if length <= len(census.right) else 0
             assert got == mtamari_right_formula(parts, height, length)

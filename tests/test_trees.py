@@ -32,7 +32,7 @@ def walk_region_boundaries(nu, delta):
     ... N W^{gamma_n} walked from the corner (ambient_0, 0).  A point
     belongs to the region when it sits between the two at its height.
     """
-    ambient = ambient_base(nu, delta)
+    ambient = ambient_base(delta)
     reach = [0]
     for ch in ambient.word:
         if ch == "N":
@@ -59,7 +59,7 @@ def walk_region_boundaries(nu, delta):
 
 def boxes_by_shape(nu, delta):
     """Corner points of the boxes above the cut, the figure reading."""
-    ambient = ambient_base(nu, delta)
+    ambient = ambient_base(delta)
     reach = ambient.east_prefixes
     gammas = [nu.composition[i] - delta.entries[i - 1] for i in range(1, nu.n + 1)]
     cut = ambient.composition[0] - nu.composition[0]
@@ -76,22 +76,22 @@ def boxes_by_shape(nu, delta):
 
 
 def test_region_examples(eneen):
-    r00 = build_region(eneen, IncrementVector((0, 0), eneen))
+    r00 = build_region(IncrementVector((0, 0), eneen))
     assert set(r00.points()) == {(2, 0), (3, 0)} | {(x, 1) for x in range(4)} | {
         (x, 2) for x in range(4)
     }
-    r20 = build_region(eneen, IncrementVector((2, 0), eneen))
+    r20 = build_region(IncrementVector((2, 0), eneen))
     assert set(r20.points()) == {(0, 0), (1, 0)} | {(x, 1) for x in range(4)} | {
         (x, 2) for x in range(4)
     }
     flat = LatticePath("EEEE")
-    r = build_region(flat, IncrementVector((), flat))
+    r = build_region(IncrementVector((), flat))
     assert r.points() == [(x, 0) for x in range(5)]
 
 
 def test_region_matches_boundary_walk():
     for nu, delta in all_instances(6):
-        region = build_region(nu, delta)
+        region = build_region(delta)
         assert set(region.points()) == walk_region_boundaries(nu, delta)
 
 
@@ -104,7 +104,7 @@ def test_region_matches_box_corners_where_boxes_exist():
         if nu.n == 0:
             continue
         boxes = boxes_by_shape(nu, delta)
-        points = set(build_region(nu, delta).points())
+        points = set(build_region(delta).points())
         assert boxes <= points
         heights = {y for _, y in boxes}
         if heights == set(range(nu.n + 1)) and nu.composition[-1] == 0:
@@ -117,7 +117,7 @@ def test_region_row_widths_do_not_depend_on_delta():
     for nu in all_base_paths(6):
         widths = None
         for delta in increment_box(nu):
-            region = build_region(nu, delta)
+            region = build_region(delta)
             got = [region.row_hi[y] - region.row_lo[y] for y in range(nu.n + 1)]
             assert got == list(nu.east_prefixes)
             widths = widths or got
@@ -125,13 +125,13 @@ def test_region_row_widths_do_not_depend_on_delta():
 
 def test_maximal_increments_give_left_justified_region():
     for nu in all_base_paths(6):
-        region = build_region(nu, IncrementVector.maximal(nu))
+        region = build_region(IncrementVector.maximal(nu))
         assert all(lo == 0 for lo in region.row_lo)
         assert region.row_hi == nu.east_prefixes
 
 
 def test_compatibility_examples(eneen):
-    region = build_region(eneen, IncrementVector((0, 0), eneen))  # ambient (3,0,0)
+    region = build_region(IncrementVector((0, 0), eneen))  # ambient (3,0,0)
     assert compatible((2, 1), (2, 1), region)
     assert compatible((0, 1), (3, 1), region)
     assert not compatible((2, 0), (3, 1), region)
@@ -140,7 +140,7 @@ def test_compatibility_examples(eneen):
 
 def test_compatibility_respects_the_ambient_staircase(eneen):
     # ambient base (1,2,0): its staircase reaches x = 1, 3, 3 at heights 0..2
-    region = build_region(eneen, IncrementVector((2, 0), eneen))
+    region = build_region(IncrementVector((2, 0), eneen))
     assert compatible((0, 0), (1, 1), region) is False
     assert compatible((2, 1), (3, 2), region) is False
     # the rectangle (1,0)-(2,1) pokes below the staircase, so the pair is fine
@@ -148,7 +148,7 @@ def test_compatibility_respects_the_ambient_staircase(eneen):
 
 
 def test_flushing_figure_examples(eneen):
-    r20 = build_region(eneen, IncrementVector((2, 0), eneen))
+    r20 = build_region(IncrementVector((2, 0), eneen))
     bottom = right_flushing(eneen.composition, r20)
     assert bottom.nodes == {(0, 0), (1, 0), (0, 1), (2, 1), (3, 1), (0, 2)}
     top = right_flushing((0, 0, 3), r20)
@@ -158,7 +158,7 @@ def test_flushing_figure_examples(eneen):
 
 
 def test_right_flushing_rejects_paths_not_above_nu(eneen):
-    r20 = build_region(eneen, IncrementVector((2, 0), eneen))
+    r20 = build_region(IncrementVector((2, 0), eneen))
     for mu in [(2, 1, 0), (1, 2), (1, 2, 0, 0), (1, 1, 0), (1, 1, 2), (-1, 4, 0)]:
         with pytest.raises(ContractError, match="not weakly above"):
             right_flushing(mu, r20)
@@ -166,14 +166,14 @@ def test_right_flushing_rejects_paths_not_above_nu(eneen):
 
 def test_flushing_single_row():
     flat = LatticePath("EEE")
-    region = build_region(flat, IncrementVector((), flat))
+    region = build_region(IncrementVector((), flat))
     tree = bottom_tree(region)
     assert tree.nodes == {(x, 0) for x in range(4)}
 
 
 def test_flushing_round_trips_exhaustively():
     for nu, delta in all_instances(7):
-        region = build_region(nu, delta)
+        region = build_region(delta)
         seen = set()
         for mu in enumerate_nu_paths(nu):
             tree = right_flushing(mu, region)
@@ -184,7 +184,7 @@ def test_flushing_round_trips_exhaustively():
 
 def test_trees_have_m_plus_n_plus_one_nodes_and_validate():
     for nu, delta in all_instances(6):
-        region = build_region(nu, delta)
+        region = build_region(delta)
         for mu in enumerate_nu_paths(nu):
             tree = right_flushing(mu, region)
             assert len(tree.nodes) == nu.m + nu.n + 1
@@ -194,7 +194,7 @@ def test_trees_have_m_plus_n_plus_one_nodes_and_validate():
 
 def test_trees_are_maximal():
     for nu, delta in all_instances(5):
-        region = build_region(nu, delta)
+        region = build_region(delta)
         points = set(region.points())
         for mu in enumerate_nu_paths(nu):
             tree = right_flushing(mu, region)
@@ -205,17 +205,17 @@ def test_trees_are_maximal():
 def test_row_bounds_are_the_ambient_reach():
     # compatibility reads the ambient staircase off row_hi
     for nu, delta in all_instances(8):
-        assert build_region(nu, delta).row_hi == ambient_base(nu, delta).east_prefixes
+        assert build_region(delta).row_hi == ambient_base(delta).east_prefixes
 
 
 def test_trees_are_ambient_trees_inside_the_region():
     # the trees of (nu, delta) are exactly the trees of the ambient base
     # whose nodes all lie in the smaller region
     for nu, delta in all_instances(6):
-        region = build_region(nu, delta)
+        region = build_region(delta)
         ours = {right_flushing(mu, region).nodes for mu in enumerate_nu_paths(nu)}
-        ambient = ambient_base(region.nu, region.delta)
-        ambient_region = build_region(ambient, IncrementVector.maximal(ambient))
+        ambient = ambient_base(region.delta)
+        ambient_region = build_region(IncrementVector.maximal(ambient))
         points = set(region.points())
         theirs = set()
         for mu in enumerate_nu_paths(ambient):
@@ -226,7 +226,7 @@ def test_trees_are_ambient_trees_inside_the_region():
 
 
 def test_rotation_figure_edge(eneen):
-    r20 = build_region(eneen, IncrementVector((2, 0), eneen))
+    r20 = build_region(IncrementVector((2, 0), eneen))
     bottom = right_flushing(eneen.composition, r20)
     target = right_flushing((0, 3, 0), r20)
     rotated = tree_rotation(bottom, (0, 0))
@@ -235,7 +235,7 @@ def test_rotation_figure_edge(eneen):
 
 
 def test_rotation_error_cases(eneen):
-    r20 = build_region(eneen, IncrementVector((2, 0), eneen))
+    r20 = build_region(IncrementVector((2, 0), eneen))
     bottom = right_flushing(eneen.composition, r20)
     with pytest.raises(RotationError):
         tree_rotation(bottom, (1, 0))  # nothing above, nothing to the right
@@ -253,7 +253,7 @@ def test_rotation_out_of_region():
     # downward rotations may exit the cut region even when they are fine in
     # the ambient staircase: that is what trims the lattice to an interval
     nu = LatticePath("ENEEN")
-    region = build_region(nu, IncrementVector((0, 0), nu))
+    region = build_region(IncrementVector((0, 0), nu))
     tree = bottom_tree(region)
     assert tree.nodes == {(2, 0), (3, 0), (0, 1), (1, 1), (2, 1), (0, 2)}
     with pytest.raises(RotationLeavesRegion):
@@ -262,11 +262,11 @@ def test_rotation_out_of_region():
 
 def test_rotation_correspondence_with_path_rotation():
     for nu, delta in all_instances(6):
-        region = build_region(nu, delta)
+        region = build_region(delta)
         for mu in enumerate_nu_paths(nu):
             tree = right_flushing(mu, region)
-            for valley in valleys(mu):
-                rotated = delta_rotate(mu, delta, valley.point[1])
+            for row in valleys(mu):
+                rotated = delta_rotate(mu, delta, row)
                 rotated_tree = right_flushing(rotated, region)
                 moved_out = tree.nodes - rotated_tree.nodes
                 moved_in = rotated_tree.nodes - tree.nodes
@@ -276,7 +276,7 @@ def test_rotation_correspondence_with_path_rotation():
 
 
 def test_tree_json_round_trip(eneen):
-    r20 = build_region(eneen, IncrementVector((2, 0), eneen))
+    r20 = build_region(IncrementVector((2, 0), eneen))
     tree = bottom_tree(r20)
     doc = tree.to_json_dict()
     assert doc["nodes"] == sorted(doc["nodes"], key=lambda p: (p[1], p[0]))

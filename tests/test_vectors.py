@@ -31,7 +31,7 @@ from conftest import all_base_paths, all_instances
 
 
 def tree_of(comp, nu, delta):
-    return right_flushing(comp, build_region(nu, delta))
+    return right_flushing(comp, build_region(delta))
 
 
 def test_row_vector_examples(eneen):
@@ -42,21 +42,21 @@ def test_row_vector_examples(eneen):
 
 def test_row_vector_is_left_flushing_composition():
     for nu, delta in all_instances(6):
-        region = build_region(nu, delta)
+        region = build_region(delta)
         for mu in enumerate_nu_paths(nu):
             tree = right_flushing(mu, region)
             assert row_vector(tree) == left_flushing(tree) == mu
 
 
 def test_column_order_examples(eneen):
-    assert build_region(eneen, IncrementVector((2, 0), eneen)).column_order == (3, 2, 1, 0)
-    assert build_region(eneen, IncrementVector((0, 0), eneen)).column_order == (1, 0, 3, 2)
+    assert build_region(IncrementVector((2, 0), eneen)).column_order == (3, 2, 1, 0)
+    assert build_region(IncrementVector((0, 0), eneen)).column_order == (1, 0, 3, 2)
 
 
 def test_column_lengths_match_figure_caption(eneen):
     # the middle region of ENEEN: ordered column lengths 1,1,2,2 and ordered
     # reduced column lengths 1,1,2, counted in unit segments
-    region = build_region(eneen, IncrementVector((1, 0), eneen))
+    region = build_region(IncrementVector((1, 0), eneen))
     assert region.column_order == (3, 0, 2, 1)
     assert tuple(region.column_lengths[x] - 1 for x in region.column_order) == (1, 1, 2, 2)
     assert reduced_column_order(region) == (3, 1, 2)
@@ -81,19 +81,19 @@ def test_column_vector_bottom_tree(eneen):
 
 def test_column_vector_single_row():
     flat = LatticePath("EEE")
-    region = build_region(flat, IncrementVector((), flat))
+    region = build_region(IncrementVector((), flat))
     assert column_vector(bottom_tree(region)) == (0, 0, 0, 0)
     assert reduced_column_vector(bottom_tree(region)) == (0, 0, 0)
 
 
 def test_relevant_points_examples(eneen):
-    region = build_region(eneen, IncrementVector((0, 0), eneen))
+    region = build_region(IncrementVector((0, 0), eneen))
     relevant, nonrelevant = relevant_points(region)
     assert nonrelevant == {(2, 0), (0, 1), (0, 2)}
     assert relevant | nonrelevant == set(region.points())
     assert not relevant & nonrelevant
     tall = LatticePath("NN")
-    tall_region = build_region(tall, IncrementVector((0, 0), tall))
+    tall_region = build_region(IncrementVector((0, 0), tall))
     rel, nonrel = relevant_points(tall_region)
     assert rel == frozenset()
     assert nonrel == {(0, 0), (0, 1), (0, 2)}
@@ -120,7 +120,7 @@ def test_reduced_column_vector_large_figures():
         (2, 0, 1, 1, 2, 0, 1, 0, 2, 0, 2, 0),
         (1, 0, 0, 1, 1, 0, 0, 0, 2, 0, 1, 0),
     ]:
-        region = build_region(nu13, IncrementVector(entries, nu13))
+        region = build_region(IncrementVector(entries, nu13))
         tree = reduced_down_flushing(target, region)
         tree.validate()
         assert reduced_column_vector(tree) == target
@@ -186,7 +186,7 @@ def test_valid_vectors_biject_with_paths():
 def test_path_census_matches_the_right_flushed_trees_vectors():
     # counting on paths and counting on the vectors of their trees agree
     for nu, delta in all_instances(7):
-        region = build_region(nu, delta)
+        region = build_region(delta)
         paths = enumerate_nu_paths(nu)
         trees = [right_flushing(mu, region) for mu in paths]
         expected = census_from_entries(
@@ -199,7 +199,7 @@ def test_path_census_matches_the_right_flushed_trees_vectors():
 
 def test_down_flushing_round_trips():
     for nu, delta in all_instances(6):
-        region = build_region(nu, delta)
+        region = build_region(delta)
         for mu in enumerate_nu_paths(nu):
             tree = right_flushing(mu, region)
             assert down_flushing(column_vector(tree), region).nodes == tree.nodes
@@ -207,7 +207,7 @@ def test_down_flushing_round_trips():
 
 
 def test_down_flushing_rejects_invalid_vectors(eneen):
-    region = build_region(eneen, IncrementVector((2, 0), eneen))
+    region = build_region(IncrementVector((2, 0), eneen))
     with pytest.raises(VectorValidationError, match="condition \\(2\\)"):
         down_flushing((1, 1, 0, 0), region)
     with pytest.raises(VectorValidationError, match="condition \\(3\\)"):
@@ -221,7 +221,7 @@ def test_vector_sets_do_not_depend_on_delta():
         column_sets = []
         reduced_sets = []
         for delta in increment_box(nu):
-            region = build_region(nu, delta)
+            region = build_region(delta)
             trees = [right_flushing(mu, region) for mu in enumerate_nu_paths(nu)]
             column_sets.append({column_vector(t) for t in trees})
             reduced_sets.append({reduced_column_vector(t) for t in trees})
@@ -233,14 +233,14 @@ def test_reduced_correspondence_preserves_nonrelevant_heights():
     for nu in all_base_paths(5):
         deltas = list(increment_box(nu))
         for delta in deltas:
-            region = build_region(nu, delta)
+            region = build_region(delta)
             for mu in enumerate_nu_paths(nu):
                 tree = right_flushing(mu, region)
                 heights = {
                     y for (x, y) in tree.nodes if region.is_nonrelevant(x, y)
                 }
                 for delta2 in deltas:
-                    region2 = build_region(nu, delta2)
+                    region2 = build_region(delta2)
                     tree2 = reduced_down_flushing(reduced_column_vector(tree), region2)
                     heights2 = {
                         y for (x, y) in tree2.nodes if region2.is_nonrelevant(x, y)
@@ -252,7 +252,7 @@ def reflect_tree(tree):
     """The reversed-path tree: (x, y) -> (n - y, m - x)."""
     region = tree.region
     nu_rev = reverse_path(region.nu)
-    target = build_region(nu_rev, IncrementVector.maximal(nu_rev))
+    target = build_region(IncrementVector.maximal(nu_rev))
     nodes = frozenset((region.n - y, region.m - x) for (x, y) in tree.nodes)
     reflected = GridTree(target, nodes)
     reflected.validate()
@@ -262,7 +262,7 @@ def reflect_tree(tree):
 def test_maximal_case_reduced_vector_is_reflected_row_vector():
     for nu in all_base_paths(6):
         delta = IncrementVector.maximal(nu)
-        region = build_region(nu, delta)
+        region = build_region(delta)
         for mu in enumerate_nu_paths(nu):
             tree = right_flushing(mu, region)
             reflected = reflect_tree(tree)
