@@ -4,8 +4,9 @@ The lattice on the nu-paths has one cover per valley of each element,
 given by the delta-rotation at that valley.  Elements are the paths'
 compositions, indexed in the canonical enumeration order, which is a
 linear extension (the base path gets id 0, the top path the last id), so
-reachability closures are a single sweep and meet/join reduce to bit
-tricks on the closure rows.  Words are spelled out only for export.
+each reachability closure is a single sweep over the elements' upper
+cover lists and meet/join reduce to bit tricks on the closure rows.
+Words are spelled out only for export.
 
 Non-trivial linear intervals split into left intervals and right
 intervals, and the census counts both on paths, from their bottoms.  At a
@@ -178,43 +179,45 @@ class FiniteLattice:
         self.region: GridRegion = build_region(delta)
         self.elements: tuple[tuple[int, ...], ...] = tuple(enumerate_nu_paths(self.nu))
         self._ids = {mu: i for i, mu in enumerate(self.elements)}
-        self.covers: tuple[tuple[int, int, int], ...] = self._build_covers()
-        self.up, self.down = self._build_closures()
+        self.covers, uppers = self._build_covers()
+        self.up, self.down = self._build_closures(uppers)
 
     # -- construction -------------------------------------------------
 
-    def _build_covers(self) -> tuple[tuple[int, int, int], ...]:
+    def _build_covers(self) -> tuple[tuple[tuple[int, int, int], ...], list[list[int]]]:
+        """The covers (low, high, valley ordinal), sorted, and each element's upper covers."""
         covers = []
+        uppers = []
         for low, mu in enumerate(self.elements):
-            for ordinal, row in enumerate(valleys(mu)):
-                high = self._ids[delta_rotate(mu, self.delta, row)]
-                covers.append((low, high, ordinal))
+            highs = [self._ids[delta_rotate(mu, self.delta, row)] for row in valleys(mu)]
+            covers.extend((low, high, ordinal) for ordinal, high in enumerate(highs))
+            uppers.append(highs)
         covers.sort()
-        return tuple(covers)
+        return tuple(covers), uppers
 
-    def _build_closures(self) -> tuple[list[int], list[int]]:
-        size = len(self.elements)
-        succ = [0] * size
-        pred = [0] * size
-        for low, high, _ in self.covers:
-            succ[low] |= 1 << high
-            pred[high] |= 1 << low
+    def _build_closures(self, uppers: list[list[int]]) -> tuple[list[int], list[int]]:
+        """The ``up`` and ``down`` rows, each closed in one sweep over the upper cover lists.
 
-        def close(neighbours: list[int], order: range) -> list[int]:
-            closed = [0] * size
-            for i in order:
-                acc = 1 << i
-                rest = neighbours[i]
-                while rest:
-                    j = rest & -rest
-                    acc |= closed[j.bit_length() - 1]
-                    rest ^= j
-                closed[i] = acc
-            return closed
-
-        # canonical order is a linear extension: covers go from lower to
-        # higher ids, so one sweep per direction closes the relation.
-        return close(succ, range(size - 1, -1, -1)), close(pred, range(size))
+        Canonical order is a linear extension: covers go from lower to
+        higher ids.  Sweeping top-down, every upper cover of i already has
+        its final ``up`` row, and i's row is their union plus i.  Sweeping
+        bottom-up, every lower cover of i has already pushed its final
+        ``down`` row into i's, so i's row is complete when it is reached.
+        """
+        size = len(uppers)
+        up = [0] * size
+        for i in range(size - 1, -1, -1):
+            row = 1 << i
+            for j in uppers[i]:
+                row |= up[j]
+            up[i] = row
+        down = [0] * size
+        for i in range(size):
+            row = down[i] | 1 << i
+            down[i] = row
+            for j in uppers[i]:
+                down[j] |= row
+        return up, down
 
     # -- basic queries ------------------------------------------------
 

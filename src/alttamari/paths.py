@@ -261,7 +261,7 @@ def excursion_ends(composition: tuple[int, ...], delta: IncrementVector, row: in
     east step of row k < n is followed by the next one, which starts with
     the north step leaving row k.
     """
-    n = delta.nu.n
+    n = len(delta.entries)
     if len(composition) != n + 1:
         raise ContractError(
             f"composition {composition} has {len(composition)} entries, "

@@ -14,6 +14,12 @@ def all_instances(max_size: int) -> Iterator[tuple[LatticePath, IncrementVector]
             yield nu, delta
 
 
+def transpose(rows: list[int]) -> list[int]:
+    """Bitset rows of the converse relation."""
+    size = len(rows)
+    return [sum(1 << i for i in range(size) if rows[i] >> j & 1) for j in range(size)]
+
+
 @pytest.fixture(scope="session")
 def eneen() -> LatticePath:
     return LatticePath("ENEEN")

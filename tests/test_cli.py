@@ -192,7 +192,7 @@ def test_mtamari_check(capsys):
 def test_mtamari_check_rejects_sizes_below_one(capsys, monkeypatch, m, n, message):
     import alttamari.cli
 
-    def refuse(nu, delta):
+    def refuse(delta):
         raise AssertionError("no lattice may be built for a usage error")
 
     monkeypatch.setattr(alttamari.cli, "build_lattice", refuse)
@@ -213,6 +213,16 @@ def test_json_outputs_round_trip(tmp_path, capsys):
     assert doc["nu"] == "ENEEN"
 
 
+def test_main_calls_in_one_process_share_no_options(tmp_path, capsys):
+    out_file = tmp_path / "census.json"
+    argv = ["census", "--nu", "ENEEN", "--delta", "1,0", "--format", "json"]
+    assert run(capsys, *argv, "--out", str(out_file)) == (0, "", "")
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert out == out_file.read_text()
+    assert json.loads(out)["census"] == [7, 8, 4, 1]
+
+
 def test_dot_output_stable(capsys):
     _, first, _ = run(capsys, "lattice", "--nu", "ENEEN", "--delta", "1,0", "--format", "dot")
     _, second, _ = run(capsys, "lattice", "--nu", "ENEEN", "--delta", "1,0", "--format", "dot")
@@ -231,7 +241,7 @@ def test_verify_refuses_a_max_size_above_twelve(capsys, monkeypatch):
     import alttamari.cli
     import alttamari.transport
 
-    def refuse(nu, delta):
+    def refuse(delta):
         raise AssertionError("no lattice may be built")
 
     for module in (alttamari.cli, alttamari.transport):

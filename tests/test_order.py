@@ -1,5 +1,8 @@
+import gc
 import itertools
 import json
+import sys
+import tracemalloc
 
 import pytest
 
@@ -24,7 +27,7 @@ from alttamari.order import NON_LINEAR, LEFT, RIGHT, TRIVIAL, apply_horizontal, 
 from alttamari.paths import excursion_ends
 from alttamari.vectors import reduced_column_vector
 
-from conftest import all_base_paths, all_instances
+from conftest import all_base_paths, all_instances, transpose
 
 
 def lattice_of(word, entries):
@@ -76,6 +79,33 @@ def test_meet_join_against_oracle_scan():
             for b in range(a, len(lat)):
                 assert lat.meet(a, b) == oracle.oracle_meet(matrix, a, b)
                 assert lat.join(a, b) == oracle.oracle_join(matrix, a, b)
+
+
+def assert_closures_match_the_oracle(lat):
+    matrix = oracle.closure_from_covers(len(lat), [(a, b) for a, b, _ in lat.covers])
+    assert lat.up == matrix
+    assert lat.down == transpose(matrix)
+
+
+def test_closures_match_the_oracle():
+    for nu, delta in all_instances(7):
+        assert_closures_match_the_oracle(build_lattice(delta))
+
+
+def test_closure_build_leaves_little_transient_memory():
+    # (NE)^9 with maximal delta: 4,862 elements.  Building the closures
+    # from cover lists allocates little beyond the rows it keeps.
+    delta = IncrementVector.maximal(LatticePath("NE" * 9))
+    gc.collect()
+    tracemalloc.start()
+    try:
+        lat = build_lattice(delta)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(lat) == 4862
+    closure_bytes = sum(map(sys.getsizeof, lat.up + lat.down))
+    assert peak - held < closure_bytes / 2, (peak - held, closure_bytes)
 
 
 def test_dyck_meet_join_is_pointwise_extremum():

@@ -30,7 +30,14 @@ from alttamari.order import (
     path_census,
     right_witness,
 )
-from alttamari.oracle import count_paths_above, dyck_marked_counts, naive_rotations
+from alttamari.oracle import (
+    closure_from_covers,
+    count_paths_above,
+    dyck_marked_counts,
+    naive_rotations,
+)
+
+from conftest import transpose
 
 MAX_SIZE = 14
 # Lattices built per example stay this small; the unbuilt properties use
@@ -111,6 +118,15 @@ def test_witnesses_agree_with_classify(data):
             assert record.witness == left_witness(bottom, tree, 1)
         else:
             assert (record.kind, record.length, record.witness) == (RIGHT, length, ell)
+
+
+@settings(max_examples=40)
+@given(instances(MAX_CENSUS_ELEMENTS))
+def test_closures_match_the_oracle_closure(instance):
+    lattice = build_lattice(instance[1])
+    matrix = closure_from_covers(len(lattice), [(low, high) for low, high, _ in lattice.covers])
+    assert lattice.up == matrix
+    assert lattice.down == transpose(matrix)
 
 
 @settings(max_examples=40)
