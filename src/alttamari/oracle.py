@@ -5,7 +5,8 @@ deliberately shares no code with the tree and vector machinery it
 validates: rotations are recomputed from scratch off an altitude profile,
 path sets are enumerated by a plain recursion, reachability is a Warshall
 sweep, and censuses come from scanning every comparable pair for the
-chain property.
+chain property, reading each interval off the matrix rows and the column
+masks.
 """
 
 from __future__ import annotations
@@ -109,14 +110,23 @@ def closure_from_covers(size: int, covers: list[tuple[int, int]]) -> list[int]:
             if matrix[i] & bit_k:
                 matrix[i] |= row_k
     for i in range(size):
-        for j in range(size):
-            if i != j and matrix[i] >> j & 1 and matrix[j] >> i & 1:
+        above = matrix[i] & ~(1 << i)
+        while above:
+            bit_j = above & -above
+            j = bit_j.bit_length() - 1
+            if matrix[j] >> i & 1:
                 raise ValueError(f"cycle through elements {i} and {j}")
+            above ^= bit_j
     return matrix
 
 
 def oracle_is_linear(matrix: list[int], bottom: int, top: int) -> tuple[bool, int]:
-    """Chain test over the dense relation matrix; also returns the length."""
+    """Chain test over the dense relation matrix; also returns the length.
+
+    This is the literal per-pair definition: list the interval's members,
+    then require every two of them to be comparable. `oracle_census` is
+    tested against it.
+    """
     members = [z for z in range(len(matrix)) if matrix[bottom] >> z & 1 and matrix[z] >> top & 1]
     for a in members:
         for b in members:
@@ -126,17 +136,40 @@ def oracle_is_linear(matrix: list[int], bottom: int, top: int) -> tuple[bool, in
 
 
 def oracle_census(matrix: list[int]) -> tuple[int, ...]:
-    """Linear interval counts by length, scanning all comparable pairs."""
+    """Linear interval counts by length, scanning all comparable pairs.
+
+    The column masks `below[j]` (the bits i with i <= j) are built once.
+    The members of [b, t] are then `matrix[b] & below[t]`, and the interval
+    is a chain when each member's comparability mask `matrix[z] | below[z]`
+    holds all of them. The cost is O(N² + Σ k) bit operations, where k is
+    the size of each comparable interval.
+    """
+    below = [0] * len(matrix)
+    for low, row in enumerate(matrix):
+        bit_low = 1 << low
+        while row:
+            bit_high = row & -row
+            below[bit_high.bit_length() - 1] |= bit_low
+            row ^= bit_high
+    comparable = [up | down for up, down in zip(matrix, below)]
     counts: list[int] = []
-    size = len(matrix)
-    for bottom in range(size):
-        for top in range(size):
-            if matrix[bottom] >> top & 1:
-                linear, length = oracle_is_linear(matrix, bottom, top)
-                if linear:
-                    while len(counts) <= length:
-                        counts.append(0)
-                    counts[length] += 1
+    for row in matrix:
+        tops = row
+        while tops:
+            bit_top = tops & -tops
+            tops ^= bit_top
+            members = row & below[bit_top.bit_length() - 1]
+            rest = members
+            while rest:
+                bit_z = rest & -rest
+                if comparable[bit_z.bit_length() - 1] & members != members:
+                    break
+                rest ^= bit_z
+            else:
+                length = members.bit_count() - 1
+                while len(counts) <= length:
+                    counts.append(0)
+                counts[length] += 1
     return tuple(counts)
 
 

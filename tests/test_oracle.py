@@ -1,8 +1,10 @@
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
-from alttamari import oracle
+from alttamari import build_lattice, oracle
 
-from conftest import all_base_paths
+from conftest import all_base_paths, all_instances
 
 
 def test_count_paths_examples():
@@ -25,6 +27,10 @@ def test_closure_identity_and_chain():
     assert chain == [0b111, 0b110, 0b100]
     with pytest.raises(ValueError, match="cycle"):
         oracle.closure_from_covers(2, [(0, 1), (1, 0)])
+    # the 3-cycle 1 -> 3 -> 4 -> 1 is named by its first mutual pair in
+    # row-major order; row 0 and bit 2 of row 1 come first but are not mutual
+    with pytest.raises(ValueError, match=r"^cycle through elements 1 and 3$"):
+        oracle.closure_from_covers(5, [(0, 1), (1, 2), (1, 3), (3, 4), (4, 1)])
 
 
 def test_linear_and_census_on_chain_and_diamond():
@@ -36,9 +42,52 @@ def test_linear_and_census_on_chain_and_diamond():
     assert oracle.oracle_census(diamond) == (4, 4)
 
 
+def census_by_definition(matrix: list[int]) -> tuple[int, ...]:
+    """The census counted from `oracle_is_linear` over every comparable pair."""
+    lengths = [
+        length
+        for bottom, row in enumerate(matrix)
+        for top in range(len(matrix))
+        if row >> top & 1
+        for linear, length in [oracle.oracle_is_linear(matrix, bottom, top)]
+        if linear
+    ]
+    return tuple(lengths.count(k) for k in range(max(lengths, default=-1) + 1))
+
+
+@st.composite
+def posets(draw):
+    """Random covers between the elements of a shuffled linear order."""
+    order = draw(st.permutations(range(draw(st.integers(0, 12)))))
+    pairs = [(order[i], order[j]) for j in range(len(order)) for i in range(j)]
+    covers = [pair for pair in pairs if draw(st.booleans())]
+    return len(order), covers
+
+
+ANTICHAIN = (4, [])
+VEE = (3, [(0, 1), (0, 2)])
+CROWN = (6, [(0, 4), (0, 5), (1, 3), (1, 5), (2, 3), (2, 4)])
+
+
+@given(posets())
+@example(ANTICHAIN)
+@example(VEE)
+@example(CROWN)
+def test_census_scan_matches_the_definition_on_posets(poset):
+    matrix = oracle.closure_from_covers(*poset)
+    assert oracle.oracle_census(matrix) == census_by_definition(matrix)
+
+
+def test_census_scan_matches_the_definition_on_every_small_lattice():
+    for _, delta in all_instances(6):
+        lat = build_lattice(delta)
+        matrix = oracle.closure_from_covers(len(lat), [(a, b) for a, b, _ in lat.covers])
+        assert oracle.oracle_census(matrix) == census_by_definition(matrix)
+
+
 def test_comparable_pair_totals_match_census():
     # the figure lattice: comparable pairs = sum over linear and non-linear
-    from alttamari import IncrementVector, LatticePath, build_lattice
+    from alttamari import IncrementVector, LatticePath
 
     nu = LatticePath("ENEEN")
     lat = build_lattice(IncrementVector((1, 0), nu))
