@@ -6,7 +6,8 @@ Exit codes:
 * 1 standard output closed early, as by ``| head -1``, with nothing on stderr;
 * 2 usage errors: malformed path or increment literals, missing or
   conflicting arguments, a ``--max-size`` outside 0..12, a ``--sample`` below 2,
-  an ``mtamari-check --m`` or ``--n`` below 1;
+  an ``mtamari-check --m`` or ``--n`` below 1, and a path, given or built
+  from ``--m`` and ``--n``, with more steps than ``sys.maxsize``;
 * 3 validation errors on otherwise well-formed input: a path that is not
   weakly above nu, a tree file that cannot be read, is not JSON, nests
   too deeply to parse, lacks a key, does not hold a tree of its region or
@@ -167,7 +168,7 @@ def _cross_check(nu: LatticePath) -> tuple[int, dict[IncrementVector, Census]]:
     for delta in increment_box(nu):
         lattice = build_lattice(delta)
         lattice.check_lattice_laws()
-        covers = [(low, high) for low, high, _ in lattice.covers]
+        covers = [(low, high) for low, highs in enumerate(lattice.upper_covers) for high in highs]
         matrix = oracle.closure_from_covers(len(lattice), covers)
         reference = oracle.oracle_census(matrix)
         census = censuses[delta] = lattice.census()
@@ -267,6 +268,8 @@ def cmd_mtamari_check(args) -> int:
     for name, value in (("m", args.m), ("n", args.n)):
         if value < 1:
             raise _Usage(f"--{name} must be >= 1, got {value}")
+    if (args.m + 1) * args.n > sys.maxsize:
+        raise _Usage(f"(N E^{args.m})^{args.n} has more than {sys.maxsize} steps")
     base = mtamari_path(args.m, args.n)
     lattice = build_lattice(IncrementVector.maximal(base))
     census = lattice.census()

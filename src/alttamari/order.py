@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 from itertools import chain
 from typing import Iterable, Sequence
 
@@ -38,7 +38,6 @@ from .paths import (
     valleys,
 )
 from .trees import (
-    GridRegion,
     GridTree,
     Point,
     build_region,
@@ -171,29 +170,22 @@ def path_census(paths: Sequence[tuple[int, ...]], delta: IncrementVector) -> Cen
 
 
 class FiniteLattice:
-    """One alt nu-Tamari lattice, fully materialized."""
+    """One alt nu-Tamari lattice: its elements, upper covers and order closures.
+
+    ``upper_covers[i]`` holds the ids of the delta-rotations of element i in
+    valley order; the sorted cover triples and the trees are derived on demand.
+    """
 
     def __init__(self, delta: IncrementVector):
-        self.nu = delta.nu
         self.delta = delta
-        self.region: GridRegion = build_region(delta)
-        self.elements: tuple[tuple[int, ...], ...] = tuple(enumerate_nu_paths(self.nu))
+        self.elements: tuple[tuple[int, ...], ...] = tuple(enumerate_nu_paths(delta.nu))
         self._ids = {mu: i for i, mu in enumerate(self.elements)}
-        self.covers, uppers = self._build_covers()
-        self.up, self.down = self._build_closures(uppers)
+        self.upper_covers: list[list[int]] = [
+            [self._ids[delta_rotate(mu, delta, y)] for y in valleys(mu)] for mu in self.elements
+        ]
+        self.up, self.down = self._build_closures(self.upper_covers)
 
     # -- construction -------------------------------------------------
-
-    def _build_covers(self) -> tuple[tuple[tuple[int, int, int], ...], list[list[int]]]:
-        """The covers (low, high, valley ordinal), sorted, and each element's upper covers."""
-        covers = []
-        uppers = []
-        for low, mu in enumerate(self.elements):
-            highs = [self._ids[delta_rotate(mu, self.delta, row)] for row in valleys(mu)]
-            covers.extend((low, high, ordinal) for ordinal, high in enumerate(highs))
-            uppers.append(highs)
-        covers.sort()
-        return tuple(covers), uppers
 
     def _build_closures(self, uppers: list[list[int]]) -> tuple[list[int], list[int]]:
         """The ``up`` and ``down`` rows, each closed in one sweep over the upper cover lists.
@@ -276,7 +268,8 @@ class FiniteLattice:
 
     @cached_property
     def trees(self) -> tuple[GridTree, ...]:
-        return tuple(right_flushing(mu, self.region) for mu in self.elements)
+        region = build_region(self.delta)
+        return tuple(right_flushing(mu, region) for mu in self.elements)
 
     def tree_id(self, tree: GridTree) -> int:
         return self.element_id(left_flushing(tree))
@@ -300,7 +293,7 @@ class FiniteLattice:
 
     def census(self) -> Census:
         census = path_census(self.elements, self.delta)
-        covers = len(self.covers)
+        covers = sum(map(len, self.upper_covers))
         if census.totals[1:2] != ((covers,) if covers else ()):
             raise LatticeLawError(f"length-1 counts disagree: covers={covers} census={census}")
         return census
@@ -329,9 +322,15 @@ class FiniteLattice:
 
     # -- export ---------------------------------------------------------
 
+    @cached_property
+    def covers(self) -> tuple[tuple[int, int, int], ...]:
+        """The covers (low, high, valley ordinal), sorted; for export."""
+        uppers = enumerate(self.upper_covers)
+        return tuple(sorted((low, high, k) for low, highs in uppers for k, high in enumerate(highs)))
+
     def to_json_dict(self) -> dict:
         return {
-            "nu": self.nu.word,
+            "nu": self.delta.nu.word,
             "delta": list(self.delta.entries),
             "elements": [
                 {"id": i, "path": LatticePath.from_composition(mu).word}
@@ -410,18 +409,12 @@ def right_witness(bottom: GridTree, top: GridTree, length: int) -> VerticalL | N
 
 def apply_horizontal(tree: GridTree, ell: HorizontalL) -> GridTree:
     """The top tree of the left interval: rotate the run left to right."""
-    current = tree
-    for q in ell.run[:-1]:
-        current = tree_rotation(current, q)
-    return current
+    return reduce(tree_rotation, ell.run[:-1], tree)
 
 
 def apply_vertical(tree: GridTree, ell: VerticalL) -> GridTree:
     """The bottom tree of the right interval: rotate the run down, top first."""
-    current = tree
-    for q in ell.run[:-1]:
-        current = tree_rotation_down(current, q)
-    return current
+    return reduce(tree_rotation_down, ell.run[:-1], tree)
 
 
 def extension_check(delta: IncrementVector, delta2: IncrementVector) -> int:

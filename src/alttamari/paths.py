@@ -36,6 +36,7 @@ here and nowhere else.
 from __future__ import annotations
 
 import itertools
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterator
@@ -72,6 +73,8 @@ class LatticePath:
             raise PathSyntaxError("a composition needs at least one entry")
         if any(c < 0 for c in comp):
             raise PathSyntaxError(f"negative entry in composition {comp}")
+        if sum(comp) + len(comp) - 1 > sys.maxsize:
+            raise PathSyntaxError(f"composition {comp} spells more than {sys.maxsize} steps")
         parts = [EAST * comp[0]]
         for c in comp[1:]:
             parts.append(NORTH + EAST * c)

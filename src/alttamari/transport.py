@@ -107,8 +107,11 @@ class TheoremReport:
     nu: LatticePath
     deltas_checked: int
     census: Census
-    all_equal: bool
     mismatches: tuple[str, ...] = ()
+
+    @property
+    def all_equal(self) -> bool:
+        return not self.mismatches
 
     def to_json_dict(self) -> dict:
         doc = {"nu": self.nu.word, "deltas_checked": self.deltas_checked}
@@ -147,7 +150,7 @@ def verify_theorem(
         for delta in deltas[1:]
         if censuses[delta] != reference
     )
-    return TheoremReport(nu, len(deltas), reference, not mismatches, mismatches)
+    return TheoremReport(nu, len(deltas), reference, mismatches)
 
 
 @dataclass(frozen=True)

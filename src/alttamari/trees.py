@@ -184,8 +184,7 @@ class GridTree:
 
     def relevant_column(self, x: int) -> list[int]:
         """Rows of the relevant nodes in column x, ascending."""
-        lo = self.region.row_lo
-        return [y for y in self.by_column.get(x, ()) if lo[y] != x]
+        return [y for y in self.by_column.get(x, ()) if not self.region.is_nonrelevant(x, y)]
 
     def sorted_nodes(self) -> list[Point]:
         return sorted(self.nodes, key=lambda p: (p[1], p[0]))

@@ -45,7 +45,7 @@ def column_vector(tree: GridTree) -> tuple[int, ...]:
 
 def relevant_points(region: GridRegion) -> tuple[frozenset[Point], frozenset[Point]]:
     """Partition the region's points into (relevant, non-relevant)."""
-    nonrelevant = frozenset((lo, y) for y, lo in enumerate(region.row_lo))
+    nonrelevant = frozenset(p for p in region.points() if region.is_nonrelevant(*p))
     return frozenset(region.points()) - nonrelevant, nonrelevant
 
 
@@ -56,12 +56,7 @@ def reduced_column_order(region: GridRegion) -> tuple[int, ...]:
 
 def reduced_column_vector(tree: GridTree) -> tuple[int, ...]:
     """Relevant nodes per reduced column, minus one, in reduced column order."""
-    region = tree.region
-    counts = [-1] * (region.m + 1)
-    for x, y in tree.nodes:
-        if x != region.row_lo[y]:
-            counts[x] += 1
-    return tuple(counts[x] for x in region.reduced_column_order)
+    return tuple(len(tree.relevant_column(x)) - 1 for x in tree.region.reduced_column_order)
 
 
 def validate_row_vector(r: tuple[int, ...], nu: LatticePath) -> Violation | None:
@@ -110,7 +105,7 @@ def _flush_columns(region: GridRegion, entries: dict, force_nonrelevant: bool) -
         for y in range(region.column_floor[x], region.n + 1):
             if y in blocked:
                 continue
-            if force_nonrelevant and region.row_lo[y] == x:
+            if force_nonrelevant and region.is_nonrelevant(x, y):
                 placed.append(y)
             elif taken < want:
                 placed.append(y)

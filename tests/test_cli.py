@@ -260,6 +260,26 @@ def test_verify_rejects_samples_below_two(capsys, sample):
     assert err == f"usage error: --sample must be >= 2, got {sample}\n"
 
 
+HUGE = "9" * 30  # past sys.maxsize, so refused before anything is allocated
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("paths", "--nu", HUGE),
+        ("lattice", "--nu", f"1,{HUGE}", "--delta", "0"),
+        ("mtamari-check", "--m", HUGE, "--n", "1"),
+        ("mtamari-check", "--m", "1", "--n", HUGE),
+    ],
+    ids=["paths", "lattice", "mtamari_m", "mtamari_n"],
+)
+def test_a_path_too_long_to_spell_out_is_a_usage_error(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("usage error: ") and err.count("\n") == 1, err
+    assert f"more than {sys.maxsize} steps" in err
+
+
 def test_verify_sweep_builds_each_lattice_once(capsys, monkeypatch):
     import alttamari.cli
     import alttamari.transport

@@ -123,6 +123,28 @@ def test_dyck_meet_join_is_pointwise_extremum():
                 assert lat.join(a, b) == index[upper]
 
 
+def test_covers_match_naive_rotations():
+    # ids looked up by word, ordinals as the oracle numbers the valleys
+    for nu, delta in all_instances(6):
+        lat = build_lattice(delta)
+        words = [LatticePath.from_composition(mu).word for mu in lat.elements]
+        ids = {word: i for i, word in enumerate(words)}
+        expected = sorted(
+            (low, ids[rotated], ordinal)
+            for low, word in enumerate(words)
+            for ordinal, rotated in oracle.naive_rotations(word, delta.entries)
+        )
+        assert lat.covers == tuple(expected), (nu.word, delta.entries)
+
+
+def test_census_derives_neither_cover_triples_nor_trees():
+    lat = lattice_of("ENEENN", (1, 0, 0))
+    assert lat.census().totals == (16, 24, 16, 3)
+    assert not {"covers", "trees", "region", "nu"} & set(vars(lat))
+    assert sum(map(len, lat.upper_covers)) == len(lat.covers) == 24
+    assert "covers" in vars(lat)
+
+
 def test_covers_form_the_transitive_reduction():
     # no rotation edge is implied by the others
     for nu, delta in all_instances(6):
