@@ -17,6 +17,11 @@ Exit codes:
   falsify the implementation.
 
 Every error is reported as one line on stderr, never as a traceback.
+
+``verify --max-size`` uses one process per available core: it forks a
+child per core for the lattice laws and the oracle cross-check, and prints
+what the children send back in sweep order, so its output and exit code
+are those of a serial run.
 """
 
 from __future__ import annotations
@@ -129,7 +134,6 @@ def cmd_census(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    failures = 0
     if args.nu is None and args.max_size is None:
         raise _Usage("verify needs --nu or --max-size")
     if args.max_size is not None and args.max_size < 0:
@@ -139,31 +143,32 @@ def cmd_verify(args) -> int:
     if args.sample is not None and args.sample < 2:
         raise _Usage(f"--sample must be >= 2, got {args.sample}")
     requested = None if args.nu is None else parse_path(args.nu)
-    if requested is not None:
-        failures += _verify_one(requested, args)
-    if args.max_size is not None:
-        for nu in all_base_paths(args.max_size):
-            if nu != requested:
-                failures += _verify_one(nu, args)
-    return INVARIANT_BREACH if failures else 0
+    if args.max_size is None:
+        failures = [_verify_one(requested, args, ((), None))]
+    else:
+        nus = [] if requested is None else [requested]
+        nus += [nu for nu in all_base_paths(args.max_size) if nu != requested]
+        failures = _in_workers(_cross_check, nus, lambda nu, check: _verify_one(nu, args, check))
+    return INVARIANT_BREACH if any(failures) else 0
 
 
-def _verify_one(nu: LatticePath, args) -> int:
-    failures, censuses = 0, None
-    if args.max_size is not None:
-        failures, censuses = _cross_check(nu)
+def _verify_one(nu: LatticePath, args, check: tuple) -> int:
+    """Print the oracle mismatches and the theorem line of nu; returns its failure count."""
+    mismatches, censuses = check
+    for message in mismatches:
+        print(message, file=sys.stderr)
     report = verify_theorem(nu, sample=args.sample, seed=args.seed, censuses=censuses)
     status = "ok" if report.all_equal else "MISMATCH"
     print(
         f"{nu.word or '(empty)'}: {report.deltas_checked} deltas, "
         f"census {report.census.totals}, {status}"
     )
-    return failures + (0 if report.all_equal else 1)
+    return len(mismatches) + (0 if report.all_equal else 1)
 
 
-def _cross_check(nu: LatticePath) -> tuple[int, dict[IncrementVector, Census]]:
-    """Lattice laws and oracle census of each delta of nu: (oracle mismatches, censuses)."""
-    failures = 0
+def _cross_check(nu: LatticePath) -> tuple[list[str], dict[IncrementVector, Census]]:
+    """Lattice laws and oracle census of each delta of nu: (oracle mismatch lines, censuses)."""
+    mismatches = []
     censuses = {}
     for delta in increment_box(nu):
         lattice = build_lattice(delta)
@@ -173,9 +178,70 @@ def _cross_check(nu: LatticePath) -> tuple[int, dict[IncrementVector, Census]]:
         reference = oracle.oracle_census(matrix)
         census = censuses[delta] = lattice.census()
         if census.totals != reference:
-            print(f"  oracle mismatch at delta={delta.entries}", file=sys.stderr)
-            failures += 1
-    return failures, censuses
+            mismatches.append(f"  oracle mismatch at delta={delta.entries}")
+    return mismatches, censuses
+
+
+def _in_workers(work, items: list, take) -> list:
+    """``take(item, work(item))`` for each item, called in item order.
+
+    The work is done in forked children, one per available core: child w
+    takes items w, w + W, ... and writes each result, or the exception it
+    raised, to its own pipe as one pickled frame. The parent reads the
+    frames in item order, so whatever ``take`` prints comes out as in a
+    serial run. Items whose child could not be started, or ended before
+    writing their frames, are worked on in the parent.
+    """
+    import pickle
+    import signal
+
+    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    workers = min(cores or 1, len(items)) if hasattr(os, "fork") else 1
+    readers, pids, taken = [None] * workers, [], []
+    try:
+        for w in range(workers if workers > 1 else 0):
+            fds = ()
+            try:
+                fds = os.pipe()
+                pid = os.fork()
+            except OSError:
+                for fd in fds:
+                    os.close(fd)
+                break
+            if pid == 0:
+                try:
+                    sink = open(fds[1], "wb")
+                    for item in items[w::workers]:
+                        try:
+                            frame = (True, work(item))
+                        except Exception as err:
+                            frame = (False, err)
+                        sink.write(pickle.dumps(frame))
+                        sink.flush()
+                finally:
+                    os._exit(0)
+            pids.append(pid)
+            os.close(fds[1])
+            readers[w] = open(fds[0], "rb")
+        for i, item in enumerate(items):
+            frame = None
+            if readers[i % workers]:
+                try:
+                    frame = pickle.load(readers[i % workers])
+                except (EOFError, pickle.UnpicklingError):  # the child ended early
+                    readers[i % workers].close()
+                    readers[i % workers] = None
+            done, result = (True, work(item)) if frame is None else frame
+            if not done:
+                raise result
+            taken.append(take(item, result))
+        return taken
+    finally:
+        for reader in filter(None, readers):
+            reader.close()
+        for pid in pids:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
 
 
 def cmd_flush(args) -> int:
@@ -310,7 +376,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="check the equal-census theorem")
     p.add_argument("--nu")
-    p.add_argument("--max-size", type=int, dest="max_size")
+    p.add_argument(
+        "--max-size", type=int, dest="max_size",
+        help="sweep every base path of at most this many steps, checking the lattice laws "
+        "and the oracle too; uses one process per available core",
+    )
     p.add_argument("--sample", type=int)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_verify)

@@ -280,42 +280,195 @@ def test_a_path_too_long_to_spell_out_is_a_usage_error(capsys, argv):
     assert f"more than {sys.maxsize} steps" in err
 
 
-def test_verify_sweep_builds_each_lattice_once(capsys, monkeypatch):
+def use_cores(monkeypatch, count: int) -> None:
+    """Make a ``verify --max-size`` sweep see this many cores, and so start that many workers."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)))
+
+
+@pytest.fixture(params=[1, 2], ids=["1-worker", "2-workers"])
+def workers(request, monkeypatch):
+    use_cores(monkeypatch, request.param)
+    return request.param
+
+
+def sweep(capsys, *argv):
+    """``run`` for a verify sweep, which must leave no child process behind."""
+    result = run(capsys, "verify", *argv)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    return result
+
+
+def logged(path, line: str) -> None:
+    # a forked worker's calls are counted too: appends to a file survive the process
+    with open(path, "a") as handle:
+        handle.write(line + "\n")
+
+
+def test_verify_sweep_builds_each_lattice_once(capsys, monkeypatch, tmp_path):
     import alttamari.cli
     import alttamari.transport
     from alttamari.order import build_lattice
     from alttamari.paths import all_base_paths, increment_box
 
-    built = []
+    log = tmp_path / "built"
 
     def counting(delta):
-        built.append(delta)
+        logged(log, f"{delta.nu.word} {delta}")
         return build_lattice(delta)
 
     for module in (alttamari.cli, alttamari.transport):
         monkeypatch.setattr(module, "build_lattice", counting)
-    code, _, _ = run(capsys, "verify", "--max-size", "3", "--sample", "2")
-    assert code == 0
-    assert len(built) == sum(len(list(increment_box(nu))) for nu in all_base_paths(3))
-    assert len(set(built)) == len(built)
+    for cores in (1, 2):
+        use_cores(monkeypatch, cores)
+        log.write_text("")
+        code, _, _ = sweep(capsys, "--max-size", "3", "--sample", "2")
+        assert code == 0
+        built = log.read_text().splitlines()
+        assert len(built) == sum(len(list(increment_box(nu))) for nu in all_base_paths(3))
+        assert len(set(built)) == len(built)
 
 
-def test_verify_sweep_cross_checks_every_base_word(capsys, monkeypatch):
+def test_verify_sweep_cross_checks_every_base_word(capsys, monkeypatch, tmp_path):
     # the empty word and E, EE, EEE get the lattice laws and the oracle too
     from alttamari import oracle
     from alttamari.paths import all_base_paths, increment_box
 
-    closures = []
+    log = tmp_path / "closures"
     closure_from_covers = oracle.closure_from_covers
 
     def counting(size, covers):
-        closures.append(size)
+        logged(log, str(size))
         return closure_from_covers(size, covers)
 
     monkeypatch.setattr(oracle, "closure_from_covers", counting)
-    code, _, _ = run(capsys, "verify", "--max-size", "3", "--sample", "2")
-    assert code == 0
-    assert len(closures) == sum(len(list(increment_box(nu))) for nu in all_base_paths(3))
+    for cores in (1, 2):
+        use_cores(monkeypatch, cores)
+        log.write_text("")
+        code, _, _ = sweep(capsys, "--max-size", "3", "--sample", "2")
+        assert code == 0
+        closures = log.read_text().splitlines()
+        assert len(closures) == sum(len(list(increment_box(nu))) for nu in all_base_paths(3))
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("--max-size", "5"),
+        ("--max-size", "5", "--sample", "3", "--seed", "5"),
+        ("--nu", "NE", "--max-size", "2"),
+    ],
+    ids=["full", "sampled", "requested"],
+)
+def test_verify_sweep_output_does_not_depend_on_the_worker_count(capsys, monkeypatch, argv):
+    use_cores(monkeypatch, 1)
+    serial = sweep(capsys, *argv)
+    use_cores(monkeypatch, 2)
+    assert sweep(capsys, *argv) == serial
+    assert serial[0] == 0 and serial[2] == ""
+
+
+def test_verify_sweep_reports_oracle_mismatches_in_sweep_order(capsys, monkeypatch, workers):
+    # only EN with delta (0,) has a 2-element lattice among the words of at most 2 steps
+    from alttamari import oracle
+
+    _, expected, _ = sweep(capsys, "--max-size", "2")
+    oracle_census = oracle.oracle_census
+
+    def wrong_once(matrix):
+        census = oracle_census(matrix)
+        return census + (1,) if len(matrix) == 2 else census
+
+    monkeypatch.setattr(oracle, "oracle_census", wrong_once)
+    assert sweep(capsys, "--max-size", "2") == (4, expected, "  oracle mismatch at delta=(0,)\n")
+
+
+def test_verify_sweep_stops_at_a_late_lattice_law_breach(capsys, monkeypatch, workers):
+    from alttamari.order import FiniteLattice, LatticeLawError
+
+    _, expected, _ = sweep(capsys, "--max-size", "3")
+    check_lattice_laws = FiniteLattice.check_lattice_laws
+
+    def breach_at_nnn(lattice):
+        if lattice.delta.nu.word == "NNN":
+            raise LatticeLawError("no meet of 0 and 1")
+        return check_lattice_laws(lattice)
+
+    monkeypatch.setattr(FiniteLattice, "check_lattice_laws", breach_at_nnn)
+    code, out, err = sweep(capsys, "--max-size", "3")
+    assert (code, err) == (4, "invariant breach: no meet of 0 and 1\n")
+    assert out == "".join(expected.splitlines(keepends=True)[:-1])  # NNN is the last word
+
+
+@pytest.mark.parametrize("failing", ["pipe", "fork"])
+@pytest.mark.parametrize("call", [1, 2])
+def test_verify_sweep_runs_in_the_parent_what_no_child_took(capsys, monkeypatch, failing, call):
+    use_cores(monkeypatch, 1)
+    expected = sweep(capsys, "--max-size", "4")
+    use_cores(monkeypatch, 2)
+    real, calls = getattr(os, failing), []
+
+    def refusing(*args):
+        calls.append(args)
+        if len(calls) == call:
+            raise OSError(11, "Resource temporarily unavailable")
+        return real(*args)
+
+    monkeypatch.setattr(os, failing, refusing)
+    assert sweep(capsys, "--max-size", "4") == expected
+    assert len(calls) == call
+
+
+def test_verify_sweep_redoes_in_the_parent_what_a_dead_child_left(capsys, monkeypatch, tmp_path):
+    import alttamari.cli
+
+    use_cores(monkeypatch, 1)
+    expected = sweep(capsys, "--max-size", "4")
+    use_cores(monkeypatch, 2)
+    parent, cross_check = os.getpid(), alttamari.cli._cross_check
+    log = tmp_path / "checked"
+
+    def dying_at_nen(nu):
+        if os.getpid() != parent and nu.word == "NEN":
+            os._exit(9)
+        logged(log, f"{os.getpid()} {nu.word}")
+        return cross_check(nu)
+
+    monkeypatch.setattr(alttamari.cli, "_cross_check", dying_at_nen)
+    assert sweep(capsys, "--max-size", "4") == expected
+    checked = [line.split(" ") for line in log.read_text().splitlines()]
+    by_parent = {word for pid, word in checked if int(pid) == parent}
+    assert "NEN" in by_parent and "NNNN" in by_parent  # what the dead child had still to do
+    assert len(checked) == len(expected[1].splitlines())
+
+
+@pytest.mark.parametrize("cores, forks", [(1, 0), (2, 2), (64, 3), (None, 2)])
+def test_verify_sweep_starts_at_most_one_child_per_core_and_base_word(
+    capsys, monkeypatch, cores, forks
+):
+    # --max-size 1 sweeps 3 words: the empty one, E and N
+    if cores is None:  # no affinity mask to read: the machine's 2 cores count
+        monkeypatch.delattr(os, "sched_getaffinity")
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    else:
+        use_cores(monkeypatch, cores)
+    real, calls = os.fork, []
+
+    def counting():
+        calls.append(None)
+        return real()
+
+    monkeypatch.setattr(os, "fork", counting)
+    code, out, _ = sweep(capsys, "--max-size", "1")
+    assert (code, len(out.splitlines()), len(calls)) == (0, 3, forks)
+
+
+def test_verify_sweep_runs_serially_without_fork(capsys, monkeypatch):
+    use_cores(monkeypatch, 1)
+    expected = sweep(capsys, "--max-size", "3")
+    use_cores(monkeypatch, 2)
+    monkeypatch.delattr(os, "fork")
+    assert sweep(capsys, "--max-size", "3") == expected
 
 
 def test_verify_checks_a_requested_path_inside_the_sweep_once(capsys):

@@ -1,6 +1,8 @@
 """Checks on the library source itself."""
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 import alttamari
@@ -113,3 +115,17 @@ def test_library_code_takes_delta_without_its_nu():
         f"{path.name}:{where}" for path in modules for where in nu_beside_delta(path.read_text())
     ]
     assert found == []
+
+
+def test_cli_start_up_loads_no_pickle_or_process_pool():
+    # every command pays for what importing the CLI loads; only the verify sweep needs pickle
+    src = str(Path(alttamari.__file__).parents[1])
+    script = (
+        f"import sys; sys.path.insert(0, {src!r})\n"
+        "import alttamari.cli; alttamari.cli.build_parser()\n"
+        "print(sorted({'pickle', 'multiprocessing', 'concurrent.futures'} & set(sys.modules)))\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, timeout=60, check=True
+    )
+    assert done.stdout == "[]\n"
