@@ -18,10 +18,13 @@ Exit codes:
 
 Every error is reported as one line on stderr, never as a traceback.
 
-``verify --max-size`` uses one process per available core: it forks a
-child per core for the lattice laws and the oracle cross-check, and prints
-what the children send back in sweep order, so its output and exit code
-are those of a serial run.
+``verify --max-size`` uses one process per available core. It forks a
+child per core and deals the base paths out to them by estimated cost:
+the number of deltas times the square of the lattice size, costliest
+first, each to the child with the least load so far. A child checks the
+lattice laws, the oracle census and the theorem for each of its paths and
+sends back only the lines to print and a failure count. The parent prints
+them in sweep order, so its output and exit code are those of a serial run.
 """
 
 from __future__ import annotations
@@ -144,26 +147,35 @@ def cmd_verify(args) -> int:
         raise _Usage(f"--sample must be >= 2, got {args.sample}")
     requested = None if args.nu is None else parse_path(args.nu)
     if args.max_size is None:
-        failures = [_verify_one(requested, args, ((), None))]
+        failures = [_report(_verify_one(requested, args, ((), None)))]
     else:
         nus = [] if requested is None else [requested]
         nus += [nu for nu in all_base_paths(args.max_size) if nu != requested]
-        failures = _in_workers(_cross_check, nus, lambda nu, check: _verify_one(nu, args, check))
+        failures = _in_workers(
+            lambda nu: _verify_one(nu, args, _cross_check(nu)), nus, _report, _sweep_cost
+        )
     return INVARIANT_BREACH if any(failures) else 0
 
 
-def _verify_one(nu: LatticePath, args, check: tuple) -> int:
-    """Print the oracle mismatches and the theorem line of nu; returns its failure count."""
+def _verify_one(nu: LatticePath, args, check: tuple) -> tuple[list[str], str, int]:
+    """The oracle mismatch lines, the theorem line and the failure count of nu."""
     mismatches, censuses = check
-    for message in mismatches:
-        print(message, file=sys.stderr)
     report = verify_theorem(nu, sample=args.sample, seed=args.seed, censuses=censuses)
     status = "ok" if report.all_equal else "MISMATCH"
-    print(
+    line = (
         f"{nu.word or '(empty)'}: {report.deltas_checked} deltas, "
         f"census {report.census.totals}, {status}"
     )
-    return len(mismatches) + (0 if report.all_equal else 1)
+    return mismatches, line, len(mismatches) + (0 if report.all_equal else 1)
+
+
+def _report(verdict: tuple[list[str], str, int]) -> int:
+    """Print a verdict of ``_verify_one``: mismatch lines on stderr, the theorem line on stdout."""
+    mismatches, line, failures = verdict
+    for message in mismatches:
+        print(message, file=sys.stderr)
+    print(line)
+    return failures
 
 
 def _cross_check(nu: LatticePath) -> tuple[list[str], dict[IncrementVector, Census]]:
@@ -182,21 +194,52 @@ def _cross_check(nu: LatticePath) -> tuple[list[str], dict[IncrementVector, Cens
     return mismatches, censuses
 
 
-def _in_workers(work, items: list, take) -> list:
-    """``take(item, work(item))`` for each item, called in item order.
+def _sweep_cost(nu: LatticePath) -> int:
+    """Estimated work of ``_cross_check(nu)``: the deltas of its box times N² for N elements.
 
-    The work is done in forked children, one per available core: child w
-    takes items w, w + W, ... and writes each result, or the exception it
-    raised, to its own pipe as one pickled frame. The parent reads the
-    frames in item order, so whatever ``take`` prints comes out as in a
-    serial run. Items whose child could not be started, or ended before
-    writing their frames, are worked on in the parent.
+    The lattice laws and the oracle census each visit the N² pairs of a
+    lattice, and every lattice of the box has the same N elements.
+    """
+    cost = oracle.count_paths_above(nu.word) ** 2
+    for entry in nu.composition[1:]:
+        cost *= entry + 1
+    return cost
+
+
+def _assign(costs: list[int], workers: int) -> list[int]:
+    """The worker of each item, longest processing time first.
+
+    The items are taken from the costliest down, ties in item order, and
+    each goes to the worker with the least estimated load so far (the
+    lowest index on ties), so no worker's load exceeds the mean load by
+    more than the largest single cost.
+    """
+    loads, owners = [0] * workers, [0] * len(costs)
+    for i in sorted(range(len(costs)), key=costs.__getitem__, reverse=True):
+        owners[i] = least = loads.index(min(loads))
+        loads[least] += costs[i]
+    return owners
+
+
+def _in_workers(work, items: list, take, cost) -> list:
+    """``take(work(item))`` for each item, called in item order.
+
+    The work is done in forked children, one per available core. The items
+    are dealt out by ``_assign`` on their ``cost``, so the children finish
+    at about the same time. Each child works its items in item order and
+    writes each result, or the exception it raised, to its own pipe as one
+    pickled frame; results are kept small (lines of text and counts), so
+    the parent has little to unpickle. The parent reads the frame of item i
+    from the pipe of the child that owns it, so whatever ``take`` prints
+    comes out as in a serial run. Items whose child could not be started,
+    or ended before writing their frames, are worked on in the parent.
     """
     import pickle
     import signal
 
     cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     workers = min(cores or 1, len(items)) if hasattr(os, "fork") else 1
+    owners = _assign([cost(item) for item in items], workers) if workers > 1 else [0] * len(items)
     readers, pids, taken = [None] * workers, [], []
     try:
         for w in range(workers if workers > 1 else 0):
@@ -211,11 +254,11 @@ def _in_workers(work, items: list, take) -> list:
             if pid == 0:
                 try:
                     sink = open(fds[1], "wb")
-                    for item in items[w::workers]:
+                    for item in [item for item, owner in zip(items, owners) if owner == w]:
                         try:
-                            frame = (True, work(item))
+                            frame = work(item)
                         except Exception as err:
-                            frame = (False, err)
+                            frame = err
                         sink.write(pickle.dumps(frame))
                         sink.flush()
                 finally:
@@ -223,18 +266,19 @@ def _in_workers(work, items: list, take) -> list:
             pids.append(pid)
             os.close(fds[1])
             readers[w] = open(fds[0], "rb")
-        for i, item in enumerate(items):
-            frame = None
-            if readers[i % workers]:
+        for item, w in zip(items, owners):
+            result = None
+            if readers[w]:
                 try:
-                    frame = pickle.load(readers[i % workers])
+                    result = pickle.load(readers[w])
                 except (EOFError, pickle.UnpicklingError):  # the child ended early
-                    readers[i % workers].close()
-                    readers[i % workers] = None
-            done, result = (True, work(item)) if frame is None else frame
-            if not done:
+                    readers[w].close()
+                    readers[w] = None
+            if result is None:
+                result = work(item)
+            elif isinstance(result, Exception):
                 raise result
-            taken.append(take(item, result))
+            taken.append(take(result))
         return taken
     finally:
         for reader in filter(None, readers):

@@ -1,4 +1,4 @@
-"""Brute-force reference implementations used only to cross-check results.
+"""Brute-force reference implementations used to cross-check results.
 
 Everything here works on raw step words and dense relation matrices, and
 deliberately shares no code with the tree and vector machinery it
@@ -16,7 +16,12 @@ EAST = "E"
 
 
 def count_paths_above(nu_word: str) -> int:
-    """Ballot-style count of the paths weakly above nu, by dynamic programming."""
+    """Ballot-style count of the paths weakly above nu, by dynamic programming.
+
+    This is the size of every lattice over nu. Besides cross-checking it,
+    ``verify --max-size`` uses it to estimate each base path's work when it
+    deals the paths out to its worker processes (``cli._sweep_cost``).
+    """
     reach = _east_reach(nu_word)
     ways = [1] * (reach[0] + 1)
     for y in range(1, len(reach)):

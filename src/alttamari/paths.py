@@ -75,10 +75,14 @@ class LatticePath:
             raise PathSyntaxError(f"negative entry in composition {comp}")
         if sum(comp) + len(comp) - 1 > sys.maxsize:
             raise PathSyntaxError(f"composition {comp} spells more than {sys.maxsize} steps")
-        parts = [EAST * comp[0]]
-        for c in comp[1:]:
-            parts.append(NORTH + EAST * c)
-        return cls("".join(parts))
+        try:
+            parts = [EAST * comp[0]]
+            for c in comp[1:]:
+                parts.append(NORTH + EAST * c)
+            word = "".join(parts)
+        except MemoryError as err:
+            raise PathSyntaxError(f"composition {comp} is too long to spell out") from err
+        return cls(word)
 
     @cached_property
     def composition(self) -> tuple[int, ...]:

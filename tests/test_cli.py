@@ -280,6 +280,25 @@ def test_a_path_too_long_to_spell_out_is_a_usage_error(capsys, argv):
     assert f"more than {sys.maxsize} steps" in err
 
 
+@pytest.mark.parametrize("command", ["paths", "census"])
+def test_a_path_too_long_for_memory_is_a_usage_error(capsys, monkeypatch, command):
+    from alttamari import paths
+
+    class Scarce(str):
+        """An east step whose runs past 1,000 letters do not fit in memory."""
+
+        def __mul__(self, count):
+            if count > 1000:
+                raise MemoryError
+            return str(self) * count
+
+    monkeypatch.setattr(paths, "EAST", Scarce(paths.EAST))
+    argv = [command, "--nu", "0,100000000000"] + (["--delta", "0"] if command == "census" else [])
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == "usage error: composition (0, 100000000000) is too long to spell out\n"
+
+
 def use_cores(monkeypatch, count: int) -> None:
     """Make a ``verify --max-size`` sweep see this many cores, and so start that many workers."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)))
@@ -363,9 +382,56 @@ def test_verify_sweep_cross_checks_every_base_word(capsys, monkeypatch, tmp_path
 def test_verify_sweep_output_does_not_depend_on_the_worker_count(capsys, monkeypatch, argv):
     use_cores(monkeypatch, 1)
     serial = sweep(capsys, *argv)
-    use_cores(monkeypatch, 2)
-    assert sweep(capsys, *argv) == serial
+    for cores in (2, 3):
+        use_cores(monkeypatch, cores)
+        assert sweep(capsys, *argv) == serial
     assert serial[0] == 0 and serial[2] == ""
+
+
+def test_sweep_cost_is_the_box_times_the_squared_lattice_size():
+    from alttamari.cli import _sweep_cost
+    from alttamari.paths import all_base_paths, enumerate_nu_paths, increment_box
+
+    for nu in all_base_paths(6):
+        assert _sweep_cost(nu) == len(list(increment_box(nu))) * len(enumerate_nu_paths(nu)) ** 2
+
+
+@pytest.mark.parametrize("count", [2, 3, 4])
+def test_sweep_assignment_gives_each_word_one_child_and_evens_the_load(count):
+    from alttamari.cli import _assign, _sweep_cost
+    from alttamari.paths import all_base_paths
+
+    for size in range(9):
+        costs = [_sweep_cost(nu) for nu in all_base_paths(size)]
+        owners = _assign(costs, count)
+        assert len(owners) == len(costs) and set(owners) <= set(range(count))
+        loads = [sum(cost for cost, owner in zip(costs, owners) if owner == w) for w in range(count)]
+        assert max(loads) <= sum(costs) / count + max(costs)
+
+
+def test_verify_sweep_children_send_back_only_lines_and_counts(capsys, monkeypatch, tmp_path):
+    import pickle
+
+    log = tmp_path / "frames"
+    dumps = pickle.dumps
+
+    def leaves(value):
+        if isinstance(value, (tuple, list)):
+            for part in value:
+                yield from leaves(part)
+        else:
+            yield value
+
+    def logging_dumps(frame, *args, **kwargs):
+        logged(log, " ".join(type(leaf).__name__ for leaf in leaves(frame)))
+        return dumps(frame, *args, **kwargs)
+
+    use_cores(monkeypatch, 2)
+    monkeypatch.setattr(pickle, "dumps", logging_dumps)
+    code, out, _ = sweep(capsys, "--max-size", "4")
+    frames = log.read_text().splitlines()
+    assert code == 0 and len(frames) == len(out.splitlines())  # one frame per word, all from children
+    assert {name for frame in frames for name in frame.split()} == {"str", "int"}
 
 
 def test_verify_sweep_reports_oracle_mismatches_in_sweep_order(capsys, monkeypatch, workers):
@@ -421,6 +487,7 @@ def test_verify_sweep_runs_in_the_parent_what_no_child_took(capsys, monkeypatch,
 
 def test_verify_sweep_redoes_in_the_parent_what_a_dead_child_left(capsys, monkeypatch, tmp_path):
     import alttamari.cli
+    from alttamari.paths import all_base_paths
 
     use_cores(monkeypatch, 1)
     expected = sweep(capsys, "--max-size", "4")
@@ -437,9 +504,13 @@ def test_verify_sweep_redoes_in_the_parent_what_a_dead_child_left(capsys, monkey
     monkeypatch.setattr(alttamari.cli, "_cross_check", dying_at_nen)
     assert sweep(capsys, "--max-size", "4") == expected
     checked = [line.split(" ") for line in log.read_text().splitlines()]
-    by_parent = {word for pid, word in checked if int(pid) == parent}
-    assert "NEN" in by_parent and "NNNN" in by_parent  # what the dead child had still to do
-    assert len(checked) == len(expected[1].splitlines())
+    words = [nu.word for nu in all_base_paths(4)]
+    owners = alttamari.cli._assign([alttamari.cli._sweep_cost(nu) for nu in all_base_paths(4)], 2)
+    at = words.index("NEN")
+    left = {word for word, owner in zip(words[at:], owners[at:]) if owner == owners[at]}
+    assert len(left) > 1  # the dead child had more to do than NEN
+    assert {word for pid, word in checked if int(pid) == parent} == left
+    assert sorted(word for _, word in checked) == sorted(words)
 
 
 @pytest.mark.parametrize("cores, forks", [(1, 0), (2, 2), (64, 3), (None, 2)])

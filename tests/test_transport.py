@@ -11,6 +11,7 @@ from alttamari import (
     enumerate_nu_paths,
     horizontal_flushing,
     increment_box,
+    left_flushing,
     left_intervals_from,
     mtamari_path,
     mtamari_right_formula,
@@ -141,6 +142,45 @@ def test_transport_covers_map_to_covers(eneen):
         b2, t2 = transport_left_interval(lat.trees[low], lat.trees[high], d0)
         linear, length = lat0.is_linear(lat0.tree_id(b2), lat0.tree_id(t2))
         assert linear and length == 1
+
+
+def _linear_intervals(lattice):
+    """(bottom, top, row or None, length) of each linear interval of length >= 1, once.
+
+    A left interval is a row run above its bottom tree, a right one a column
+    run below its top tree; a cover is both and comes once, as a left one.
+    """
+    for tree in lattice.trees:
+        for length in range(1, len(lattice.delta.nu.word) + 1):
+            for run in left_intervals_from(tree, length):
+                yield tree, apply_horizontal(tree, run), run.row, length
+            for run in right_intervals_to(tree, length) if length > 1 else ():
+                yield apply_vertical(tree, run), tree, None, length
+
+
+def test_transport_carries_every_linear_interval_to_a_distinct_one_of_the_same_length():
+    # every nu with m+n <= 6 and every ordered pair delta != delta2 of its box
+    for nu in all_base_paths(6):
+        lattices = {delta: build_lattice(delta) for delta in increment_box(nu)}
+        intervals = {delta: list(_linear_intervals(lattice)) for delta, lattice in lattices.items()}
+        for delta, lattice in lattices.items():
+            assert len(intervals[delta]) == sum(lattice.census().totals[1:])
+        for delta, delta2 in itertools.permutations(lattices, 2):
+            target, images = lattices[delta2], set()
+            for bottom, top, row, length in intervals[delta]:
+                transport = transport_right_interval if row is None else transport_left_interval
+                bottom2, top2 = transport(bottom, top, delta2)
+                low = target.tree_id(bottom2)
+                assert target.is_linear(low, target.tree_id(top2)) == (True, length)
+                if row is not None:  # left transport keeps the bottom's path, the row and the length
+                    assert target.elements[low] == left_flushing(bottom)
+                    assert any(
+                        apply_horizontal(bottom2, run).nodes == top2.nodes
+                        for run in left_intervals_from(bottom2, length)
+                        if run.row == row
+                    )
+                images.add((bottom2.nodes, top2.nodes))
+            assert len(images) == len(intervals[delta])
 
 
 def test_verify_theorem_examples(eneen):
