@@ -11,8 +11,8 @@ Exit codes:
 * 3 validation errors on otherwise well-formed input: a path that is not
   weakly above nu, a tree file that cannot be read, is not JSON, nests
   too deeply to parse, lacks a key, does not hold a tree of its region or
-  lies over another nu or delta than ``--nu``/``--delta``, and an
-  ``--out`` file that cannot be written;
+  lies over another nu or delta than ``--nu``/``--delta``, an ``--out``
+  file that cannot be written, and an input too large for memory;
 * 4 invariant breaches: a census, oracle or flushing mismatch that would
   falsify the implementation.
 
@@ -35,7 +35,7 @@ import os
 import sys
 
 from . import oracle
-from .order import Census, LatticeLawError, build_lattice
+from .order import Census, LatticeLawError, build_lattice, path_census
 from .paths import (
     ContractError,
     IncrementVector,
@@ -381,8 +381,7 @@ def cmd_mtamari_check(args) -> int:
     if (args.m + 1) * args.n > sys.maxsize:
         raise _Usage(f"(N E^{args.m})^{args.n} has more than {sys.maxsize} steps")
     base = mtamari_path(args.m, args.n)
-    lattice = build_lattice(IncrementVector.maximal(base))
-    census = lattice.census()
+    census = path_census(enumerate_nu_paths(base), IncrementVector.maximal(base))
     failures = 0
     for length in range(1, args.n + 1):
         expected = mtamari_right_formula(args.m, args.n, length)
@@ -466,6 +465,9 @@ def main(argv: list[str] | None = None) -> int:
         return USAGE_ERROR
     except (_Validation, ContractError) as err:
         print(f"validation error: {err}", file=sys.stderr)
+        return VALIDATION_ERROR
+    except MemoryError:
+        print("validation error: out of memory", file=sys.stderr)
         return VALIDATION_ERROR
     except (_Breach, LatticeLawError) as err:
         print(f"invariant breach: {err}", file=sys.stderr)

@@ -292,11 +292,8 @@ class FiniteLattice:
         return True, size - 1
 
     def census(self) -> Census:
-        census = path_census(self.elements, self.delta)
-        covers = sum(map(len, self.upper_covers))
-        if census.totals[1:2] != ((covers,) if covers else ()):
-            raise LatticeLawError(f"length-1 counts disagree: covers={covers} census={census}")
-        return census
+        """The census, counted on the paths alone by :func:`path_census`."""
+        return path_census(self.elements, self.delta)
 
     def classify(self, bottom: int, top: int) -> IntervalRecord:
         linear, length = self.is_linear(bottom, top)

@@ -6,10 +6,10 @@ the reduced column vector instead.  Left intervals ride along horizontal
 flushing row by row, right intervals along vertical flushing column by
 column, which is why every alt nu-Tamari lattice over a fixed nu has the
 same number of linear intervals of each length.  ``verify_theorem`` checks
-that statement head-on by computing the census of every lattice in the
-increment box.  ``restricted_census`` counts the linear intervals of a
-full rotation lattice restricted to the nu-paths with the same path
-census, without building that lattice.
+that statement head-on by counting the census of every lattice in the
+increment box on the nu-paths.  ``restricted_census`` counts the linear
+intervals of a full rotation lattice restricted to the nu-paths with the
+same path census, without building that lattice.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ from .order import (
     Census,
     apply_horizontal,
     apply_vertical,
-    build_lattice,
     left_intervals_from,
     left_witness,
     path_census,
@@ -129,9 +128,9 @@ def verify_theorem(
 
     With ``sample`` set (at least 2, else ``ContractError``), at most that
     many increment vectors are drawn (seeded, always keeping the all-zero
-    and maximal ones); otherwise the full box is swept.  ``censuses`` maps
-    increment vectors to censuses the caller already holds; when given, it
-    must hold every vector compared, and no lattice is built.
+    and maximal ones); otherwise the full box is swept.  Each census is
+    counted on the nu-paths by ``path_census``, building no lattice, unless
+    ``censuses`` maps every vector compared to one the caller already holds.
     """
     if sample is not None and sample < 2:
         raise ContractError(f"sample must be >= 2, got {sample}")
@@ -143,7 +142,8 @@ def verify_theorem(
             keep.add(rng.randrange(len(deltas)))
         deltas = [deltas[i] for i in sorted(keep)]
     if censuses is None:
-        censuses = {delta: build_lattice(delta).census() for delta in deltas}
+        paths = enumerate_nu_paths(nu)
+        censuses = {delta: path_census(paths, delta) for delta in deltas}
     reference = censuses[deltas[0]]
     mismatches = tuple(
         f"delta={delta.entries}: {censuses[delta]} != {reference}"
@@ -200,7 +200,7 @@ def bad_bases(nu: LatticePath) -> list[LatticePath]:
 
 def mtamari_path(parts: int, height: int) -> LatticePath:
     """The base path (N E^parts)^height."""
-    return LatticePath(("N" + "E" * parts) * height)
+    return LatticePath.from_composition((0,) + (parts,) * height)
 
 
 def mtamari_right_formula(parts: int, height: int, length: int) -> int:

@@ -192,10 +192,11 @@ def test_mtamari_check(capsys):
 def test_mtamari_check_rejects_sizes_below_one(capsys, monkeypatch, m, n, message):
     import alttamari.cli
 
-    def refuse(delta):
-        raise AssertionError("no lattice may be built for a usage error")
+    def refuse(arg):
+        raise AssertionError("nothing may be built for a usage error")
 
-    monkeypatch.setattr(alttamari.cli, "build_lattice", refuse)
+    for name in ("build_lattice", "enumerate_nu_paths"):
+        monkeypatch.setattr(alttamari.cli, name, refuse)
     code, out, err = run(capsys, "mtamari-check", "--m", m, "--n", n)
     assert code == 2
     assert out == ""
@@ -238,14 +239,12 @@ def test_verify_rejects_negative_max_size(capsys):
 
 def test_verify_refuses_a_max_size_above_twelve(capsys, monkeypatch):
     # the sweep walks 2^(size + 1) - 1 words; 13 letters is already refused before any build
-    import alttamari.cli
-    import alttamari.transport
+    from alttamari.order import FiniteLattice
 
-    def refuse(delta):
+    def refuse(lattice, delta):
         raise AssertionError("no lattice may be built")
 
-    for module in (alttamari.cli, alttamari.transport):
-        monkeypatch.setattr(module, "build_lattice", refuse)
+    monkeypatch.setattr(FiniteLattice, "__init__", refuse)
     code, out, err = run(capsys, "verify", "--max-size", "13")
     assert code == 2
     assert out == ""
@@ -280,8 +279,16 @@ def test_a_path_too_long_to_spell_out_is_a_usage_error(capsys, argv):
     assert f"more than {sys.maxsize} steps" in err
 
 
-@pytest.mark.parametrize("command", ["paths", "census"])
-def test_a_path_too_long_for_memory_is_a_usage_error(capsys, monkeypatch, command):
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("paths", "--nu", "0,100000000000"),
+        ("census", "--nu", "0,100000000000", "--delta", "0"),
+        ("mtamari-check", "--m", "100000000000", "--n", "1"),
+    ],
+    ids=["paths", "census", "mtamari"],
+)
+def test_a_path_too_long_for_memory_is_a_usage_error(capsys, monkeypatch, argv):
     from alttamari import paths
 
     class Scarce(str):
@@ -293,7 +300,6 @@ def test_a_path_too_long_for_memory_is_a_usage_error(capsys, monkeypatch, comman
             return str(self) * count
 
     monkeypatch.setattr(paths, "EAST", Scarce(paths.EAST))
-    argv = [command, "--nu", "0,100000000000"] + (["--delta", "0"] if command == "census" else [])
     code, out, err = run(capsys, *argv)
     assert (code, out) == (2, "")
     assert err == "usage error: composition (0, 100000000000) is too long to spell out\n"
@@ -325,19 +331,17 @@ def logged(path, line: str) -> None:
 
 
 def test_verify_sweep_builds_each_lattice_once(capsys, monkeypatch, tmp_path):
-    import alttamari.cli
-    import alttamari.transport
-    from alttamari.order import build_lattice
+    from alttamari.order import FiniteLattice
     from alttamari.paths import all_base_paths, increment_box
 
     log = tmp_path / "built"
+    init = FiniteLattice.__init__
 
-    def counting(delta):
+    def counting(lattice, delta):
         logged(log, f"{delta.nu.word} {delta}")
-        return build_lattice(delta)
+        init(lattice, delta)
 
-    for module in (alttamari.cli, alttamari.transport):
-        monkeypatch.setattr(module, "build_lattice", counting)
+    monkeypatch.setattr(FiniteLattice, "__init__", counting)
     for cores in (1, 2):
         use_cores(monkeypatch, cores)
         log.write_text("")
@@ -665,13 +669,89 @@ def test_unwritable_out_file_is_a_validation_error(tmp_path, capsys, command):
     assert not target.parent.exists()
 
 
-def test_a_closed_stdout_ends_quietly_with_exit_1():
-    # a reader that stops early, like ``| head -1``, gets no traceback on stderr
+def cli_argv(*args: str) -> list[str]:
+    return [sys.executable, "-m", "alttamari.cli", *args]
+
+
+def cli_env() -> dict[str, str]:
+    """The environment for a CLI child process that imports this checkout's package."""
     src = str(Path(alttamari.__file__).parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    env = dict(os.environ, PYTHONPATH=path)
-    argv = [sys.executable, "-m", "alttamari.cli", "paths", "--nu", "NEENEENEENEENEENEENEE"]
-    proc = subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    return dict(os.environ, PYTHONPATH=path)
+
+
+def run_capped(limit: int, *args: str) -> tuple[int, str, str]:
+    """Run the CLI in a child process whose address space is capped at ``limit`` bytes.
+
+    The cap is set in the child only, between fork and exec.
+    """
+    resource = pytest.importorskip("resource")
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+    done = subprocess.run(
+        cli_argv(*args), capture_output=True, text=True, env=cli_env(), preexec_fn=cap, timeout=300
+    )
+    return done.returncode, done.stdout, done.stderr
+
+
+MB = 1 << 20
+NE2_8 = "NEE" * 8  # 43,263 paths: their order closures alone take ~470 MB
+
+
+@pytest.mark.parametrize(
+    "argv, lines",
+    [
+        (("mtamari-check", "--m", "2", "--n", "8"), 8),
+        (("verify", "--nu", NE2_8, "--sample", "2"), 1),
+    ],
+    ids=["mtamari", "verify"],
+)
+def test_census_only_commands_fit_in_256_mb(argv, lines):
+    code, out, err = run_capped(256 * MB, *argv)
+    assert (code, err) == (0, "")
+    assert len(out.splitlines()) == lines and "MISMATCH" not in out
+
+
+def test_running_out_of_memory_is_a_validation_error():
+    argv = ("census", "--nu", NE2_8, "--delta", ",".join("0" * 8))
+    assert run_capped(256 * MB, *argv) == (3, "", "validation error: out of memory\n")
+
+
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        (("verify", "--nu", "NEENEEN"), ["NEENEEN: 9 deltas, census (12, 16, 11, 3, 1), ok"]),
+        (
+            ("verify", "--nu", "NEENEEN", "--sample", "3", "--seed", "4"),
+            ["NEENEEN: 3 deltas, census (12, 16, 11, 3, 1), ok"],
+        ),
+        (
+            ("mtamari-check", "--m", "2", "--n", "3"),
+            [
+                "m=2 n=3 length=1: formula 16, census 16 ok",
+                "m=2 n=3 length=2: formula 2, census 2 ok",
+                "m=2 n=3 length=3: formula 0, census 0 ok",
+            ],
+        ),
+    ],
+    ids=["verify", "verify-sampled", "mtamari"],
+)
+def test_census_only_commands_build_no_lattice(capsys, monkeypatch, argv, expected):
+    from alttamari.order import FiniteLattice
+
+    def refuse(lattice, delta):
+        raise AssertionError("no lattice may be built")
+
+    monkeypatch.setattr(FiniteLattice, "__init__", refuse)
+    assert run(capsys, *argv) == (0, "".join(line + "\n" for line in expected), "")
+
+
+def test_a_closed_stdout_ends_quietly_with_exit_1():
+    # a reader that stops early, like ``| head -1``, gets no traceback on stderr
+    argv = cli_argv("paths", "--nu", "NEENEENEENEENEENEENEE")
+    proc = subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=cli_env())
     assert proc.stdout.readline().split(b"\t")[1] == b"NEENEENEENEENEENEENEE"
     proc.stdout.close()
     _, err = proc.communicate(timeout=60)
