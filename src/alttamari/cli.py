@@ -7,7 +7,8 @@ Exit codes:
 * 2 usage errors: malformed path or increment literals, missing or
   conflicting arguments, a ``--max-size`` outside 0..12, a ``--sample`` below 2,
   an ``mtamari-check --m`` or ``--n`` below 1, and a path, given or built
-  from ``--m`` and ``--n``, with more steps than ``sys.maxsize``;
+  from ``--m`` and ``--n``, with more steps than ``sys.maxsize`` or too long
+  to build in memory;
 * 3 validation errors on otherwise well-formed input: a path that is not
   weakly above nu, a tree file that cannot be read, is not JSON, nests
   too deeply to parse, lacks a key, does not hold a tree of its region or
@@ -35,7 +36,8 @@ import os
 import sys
 
 from . import oracle
-from .order import Census, LatticeLawError, build_lattice, path_census
+from .counting import census_for
+from .order import Census, LatticeLawError, build_lattice
 from .paths import (
     ContractError,
     IncrementVector,
@@ -179,7 +181,11 @@ def _report(verdict: tuple[list[str], str, int]) -> int:
 
 
 def _cross_check(nu: LatticePath) -> tuple[list[str], dict[IncrementVector, Census]]:
-    """Lattice laws and oracle census of each delta of nu: (oracle mismatch lines, censuses)."""
+    """Lattice laws of each delta of nu, and its census against the oracle census.
+
+    Returns the oracle mismatch lines and the censuses, each counted row by
+    row (``FiniteLattice.census``).
+    """
     mismatches = []
     censuses = {}
     for delta in increment_box(nu):
@@ -381,7 +387,7 @@ def cmd_mtamari_check(args) -> int:
     if (args.m + 1) * args.n > sys.maxsize:
         raise _Usage(f"(N E^{args.m})^{args.n} has more than {sys.maxsize} steps")
     base = mtamari_path(args.m, args.n)
-    census = path_census(enumerate_nu_paths(base), IncrementVector.maximal(base))
+    census = census_for(IncrementVector.maximal(base))
     failures = 0
     for length in range(1, args.n + 1):
         expected = mtamari_right_formula(args.m, args.n, length)

@@ -9,25 +9,28 @@ cover lists and meet/join reduce to bit tricks on the closure rows.
 Words are spelled out only for export.
 
 Non-trivial linear intervals split into left intervals and right
-intervals, and the census counts both on paths, from their bottoms.  At a
+intervals, and the census counts both from their bottom paths.  At a
 valley ending row y, moving 1..mu_y east steps of row y up to the end of
 the excursion that follows gives one left interval of each length, and
 moving one east step past 1..r consecutive excursions gives one right
 interval of each length, r being the length of that run of excursions
-(:func:`alttamari.paths.excursion_ends`).  On trees the same intervals
-rotate a run of nodes in one row up from the bottom tree, or a run of
-nodes in one column down from the top tree; the witnesses below find
-those runs, and the row and reduced column vectors count them.
+(:func:`alttamari.paths.excursion_ends`).  The census of a lattice is
+counted row by row without listing a path
+(:func:`alttamari.counting.census_for`); :func:`path_census` counts the
+same entries path by path over any upper set of paths it is given.  On
+trees the same intervals rotate a run of nodes in one row up from the
+bottom tree, or a run of nodes in one column down from the top tree; the
+witnesses below find those runs, and the row and reduced column vectors
+count them.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property, reduce
-from itertools import chain
-from typing import Iterable, Sequence
+from typing import Sequence
 
+from .counting import Census, LatticeLawError, census_for, census_from_entries
 from .paths import (
     ContractError,
     IncrementVector,
@@ -51,10 +54,6 @@ TRIVIAL = "trivial"
 LEFT = "left"
 RIGHT = "right"
 NON_LINEAR = "non-linear"
-
-
-class LatticeLawError(AssertionError):
-    """A meet or join failed to exist; would falsify the lattice property."""
 
 
 @dataclass(frozen=True)
@@ -93,66 +92,6 @@ class IntervalRecord:
     kind: str
     also_right: bool = False
     witness: HorizontalL | VerticalL | None = None
-
-
-@dataclass(frozen=True)
-class Census:
-    """Linear interval counts: totals from length 0, left/right from length 1."""
-
-    totals: tuple[int, ...]
-    left: tuple[int, ...]
-    right: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        for name in ("totals", "left", "right"):
-            object.__setattr__(self, name, _trim(list(getattr(self, name))))
-
-    def to_json_dict(self) -> dict:
-        return {
-            "census": list(self.totals),
-            "left": list(self.left),
-            "right": list(self.right),
-        }
-
-    def __str__(self) -> str:
-        return f"totals={self.totals} left={self.left} right={self.right}"
-
-
-def _trim(counts: list[int]) -> tuple[int, ...]:
-    while counts and counts[-1] == 0:
-        counts.pop()
-    return tuple(counts)
-
-
-def _count_at_least(histogram: Counter, longest: int) -> list[int]:
-    """Entry k - 1 is the number of histogram entries >= k, for k = 1..longest."""
-    counts = [0] * longest
-    running = 0
-    for k in range(longest, 0, -1):
-        running += histogram[k]
-        counts[k - 1] = running
-    return counts
-
-
-def census_from_entries(
-    size: int, left_entries: Iterable[int], right_entries: Iterable[int]
-) -> Census:
-    """Linear interval counts of a poset of ``size`` elements from its entries.
-
-    A left entry l stands for one left interval of each length 1..l, a
-    right entry r for one right interval of each length 1..r.  Length-1
-    intervals are the covers, counted once from each side, so the two
-    counts must agree.
-    """
-    lefts = Counter(left_entries)
-    rights = Counter(right_entries)
-    longest = max(chain(lefts, rights), default=0)
-    left = _count_at_least(lefts, longest)
-    right = _count_at_least(rights, longest)
-    if left[:1] != right[:1]:
-        raise LatticeLawError(f"length-1 counts disagree: left={left[0]} right={right[0]}")
-    totals = [size] + left[:1] + [a + b for a, b in zip(left[1:], right[1:])]
-    return Census(tuple(totals), tuple(left), tuple(right))
 
 
 def path_census(paths: Sequence[tuple[int, ...]], delta: IncrementVector) -> Census:
@@ -292,8 +231,8 @@ class FiniteLattice:
         return True, size - 1
 
     def census(self) -> Census:
-        """The census, counted on the paths alone by :func:`path_census`."""
-        return path_census(self.elements, self.delta)
+        """The census, counted row by row by :func:`alttamari.counting.census_for`."""
+        return census_for(self.delta)
 
     def classify(self, bottom: int, top: int) -> IntervalRecord:
         linear, length = self.is_linear(bottom, top)

@@ -81,7 +81,9 @@ class LatticePath:
                 parts.append(NORTH + EAST * c)
             word = "".join(parts)
         except MemoryError as err:
-            raise PathSyntaxError(f"composition {comp} is too long to spell out") from err
+            # a message that spelled out a long composition would not fit either
+            shown = comp if len(comp) <= 20 else f"of {len(comp)} entries"
+            raise PathSyntaxError(f"composition {shown} is too long to spell out") from err
         return cls(word)
 
     @cached_property

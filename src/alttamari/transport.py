@@ -7,9 +7,9 @@ flushing row by row, right intervals along vertical flushing column by
 column, which is why every alt nu-Tamari lattice over a fixed nu has the
 same number of linear intervals of each length.  ``verify_theorem`` checks
 that statement head-on by counting the census of every lattice in the
-increment box on the nu-paths.  ``restricted_census`` counts the linear
-intervals of a full rotation lattice restricted to the nu-paths with the
-same path census, without building that lattice.
+increment box row by row, listing no path.  ``restricted_census`` counts
+the linear intervals of a full rotation lattice restricted to the
+nu-paths path by path, without building that lattice.
 """
 
 from __future__ import annotations
@@ -18,8 +18,8 @@ import random
 from dataclasses import dataclass
 from math import comb
 
+from .counting import Census, census_for
 from .order import (
-    Census,
     apply_horizontal,
     apply_vertical,
     left_intervals_from,
@@ -32,6 +32,7 @@ from .paths import (
     ContractError,
     IncrementVector,
     LatticePath,
+    PathSyntaxError,
     delta_rotate,
     enumerate_nu_paths,
     increment_box,
@@ -129,7 +130,7 @@ def verify_theorem(
     With ``sample`` set (at least 2, else ``ContractError``), at most that
     many increment vectors are drawn (seeded, always keeping the all-zero
     and maximal ones); otherwise the full box is swept.  Each census is
-    counted on the nu-paths by ``path_census``, building no lattice, unless
+    counted row by row by ``census_for``, listing no path, unless
     ``censuses`` maps every vector compared to one the caller already holds.
     """
     if sample is not None and sample < 2:
@@ -142,8 +143,7 @@ def verify_theorem(
             keep.add(rng.randrange(len(deltas)))
         deltas = [deltas[i] for i in sorted(keep)]
     if censuses is None:
-        paths = enumerate_nu_paths(nu)
-        censuses = {delta: path_census(paths, delta) for delta in deltas}
+        censuses = {delta: census_for(delta) for delta in deltas}
     reference = censuses[deltas[0]]
     mismatches = tuple(
         f"delta={delta.entries}: {censuses[delta]} != {reference}"
@@ -199,8 +199,12 @@ def bad_bases(nu: LatticePath) -> list[LatticePath]:
 
 
 def mtamari_path(parts: int, height: int) -> LatticePath:
-    """The base path (N E^parts)^height."""
-    return LatticePath.from_composition((0,) + (parts,) * height)
+    """The base path (N E^parts)^height; ``PathSyntaxError`` if it does not fit in memory."""
+    try:
+        composition = (0,) + (parts,) * height
+    except MemoryError as err:
+        raise PathSyntaxError(f"(N E^{parts})^{height} is too long to build") from err
+    return LatticePath.from_composition(composition)
 
 
 def mtamari_right_formula(parts: int, height: int, length: int) -> int:

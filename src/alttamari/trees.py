@@ -22,8 +22,8 @@ to the tree with mu_i + 1 nodes in row i, filling rows bottom to top and
 right to left while skipping every position that sits above an already
 placed node that is not the leftmost of its row.  Left flushing inverts
 it by reading off the per-row node counts as a composition.  The census
-does not go through trees: it counts linear intervals on the paths
-themselves (:func:`alttamari.order.path_census`).
+does not go through trees: it counts linear intervals from their bottom
+paths, row by row (:func:`alttamari.counting.census_for`).
 """
 
 from __future__ import annotations

@@ -14,7 +14,7 @@ The column lengths and both column orders are shape data of the region,
 cached on :class:`alttamari.trees.GridRegion`; ``reduced_column_order``
 here only reads the region.  The validators run
 :func:`alttamari.paths.ballot_violation`.  The census reads no vector: it
-counts on paths (:func:`alttamari.order.path_census`).
+counts from paths, row by row (:func:`alttamari.counting.census_for`).
 
 The down flushing algorithms reconstruct the tree from the column or the
 reduced column vector with the fill of :func:`alttamari.trees.right_flushing`,

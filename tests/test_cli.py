@@ -2,6 +2,8 @@ import json
 import os
 import subprocess
 import sys
+import time
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -303,6 +305,19 @@ def test_a_path_too_long_for_memory_is_a_usage_error(capsys, monkeypatch, argv):
     code, out, err = run(capsys, *argv)
     assert (code, out) == (2, "")
     assert err == "usage error: composition (0, 100000000000) is too long to spell out\n"
+
+
+def test_a_long_composition_too_long_for_memory_is_named_by_its_length(capsys, monkeypatch):
+    from alttamari import paths
+
+    class Scarce(str):
+        def __mul__(self, count):
+            raise MemoryError
+
+    monkeypatch.setattr(paths, "EAST", Scarce(paths.EAST))
+    code, out, err = run(capsys, "paths", "--nu", ",".join("1" * 21))
+    assert (code, out) == (2, "")
+    assert err == "usage error: composition of 21 entries is too long to spell out\n"
 
 
 def use_cores(monkeypatch, count: int) -> None:
@@ -618,10 +633,13 @@ def assert_breach(code, out, err):
 
 
 def test_census_breach_exits_4(monkeypatch, capsys):
-    import alttamari.order
+    import alttamari.counting
 
-    monkeypatch.setattr(alttamari.order, "excursion_ends", lambda composition, delta, row: ())
-    assert_breach(*run(capsys, "census", "--nu", "ENEEN", "--delta", "1,0"))
+    # no excursion walk finishes, so the right entries fall short of the valleys
+    monkeypatch.setattr(alttamari.counting, "_right_histogram", lambda rows, entries: Counter())
+    code, out, err = run(capsys, "census", "--nu", "ENEEN", "--delta", "1,0")
+    assert_breach(code, out, err)
+    assert err == "invariant breach: length-1 counts disagree: left=8 right=0\n"
 
 
 @pytest.mark.parametrize("direction, flushing", [("h", "horizontal_flushing"), ("v", "vertical_flushing")])
@@ -714,12 +732,18 @@ def test_census_only_commands_fit_in_256_mb(argv, lines):
     assert len(out.splitlines()) == lines and "MISMATCH" not in out
 
 
+def test_a_base_too_long_for_memory_is_a_usage_error():
+    # (1,) * 10^8 alone takes 800 MB; the message names the base, not its composition
+    code, out, err = run_capped(256 * MB, "mtamari-check", "--m", "1", "--n", "100000000")
+    assert (code, out, err) == (2, "", "usage error: (N E^1)^100000000 is too long to build\n")
+
+
 def test_running_out_of_memory_is_a_validation_error():
     argv = ("census", "--nu", NE2_8, "--delta", ",".join("0" * 8))
     assert run_capped(256 * MB, *argv) == (3, "", "validation error: out of memory\n")
 
 
-@pytest.mark.parametrize(
+CENSUS_ONLY = pytest.mark.parametrize(
     "argv, expected",
     [
         (("verify", "--nu", "NEENEEN"), ["NEENEEN: 9 deltas, census (12, 16, 11, 3, 1), ok"]),
@@ -738,6 +762,9 @@ def test_running_out_of_memory_is_a_validation_error():
     ],
     ids=["verify", "verify-sampled", "mtamari"],
 )
+
+
+@CENSUS_ONLY
 def test_census_only_commands_build_no_lattice(capsys, monkeypatch, argv, expected):
     from alttamari.order import FiniteLattice
 
@@ -746,6 +773,30 @@ def test_census_only_commands_build_no_lattice(capsys, monkeypatch, argv, expect
 
     monkeypatch.setattr(FiniteLattice, "__init__", refuse)
     assert run(capsys, *argv) == (0, "".join(line + "\n" for line in expected), "")
+
+
+@CENSUS_ONLY
+def test_census_only_commands_list_no_path(capsys, monkeypatch, argv, expected):
+    from alttamari import order, paths, transport
+
+    def refuse(*args):
+        raise AssertionError("no path may be listed")
+
+    for module in (paths, order, transport, alttamari.cli):
+        for name in ("enumerate_nu_paths", "path_census"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, refuse)
+    assert run(capsys, *argv) == (0, "".join(line + "\n" for line in expected), "")
+
+
+def test_mtamari_check_counts_far_past_enumeration_in_seconds(capsys):
+    # (N E^2)^30 has ~1.1 * 10^22 paths
+    start = time.perf_counter()
+    code, out, err = run(capsys, "mtamari-check", "--m", "2", "--n", "30")
+    assert time.perf_counter() - start < 5
+    assert (code, err) == (0, "")
+    lines = out.splitlines()
+    assert len(lines) == 30 and all(line.endswith(" ok") for line in lines)
 
 
 def test_a_closed_stdout_ends_quietly_with_exit_1():

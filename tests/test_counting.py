@@ -1,0 +1,83 @@
+"""The row-by-row census against path enumeration, the oracle's word rewrites and the
+closed right-interval formula past enumeration."""
+
+import random
+from itertools import product
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from alttamari import IncrementVector, LatticePath, enumerate_nu_paths, increment_box
+from alttamari.counting import census_for
+from alttamari.oracle import (
+    count_paths_above,
+    enumerate_words_above,
+    rotation_left_form,
+    rotation_right_form,
+)
+from alttamari.order import path_census
+from alttamari.transport import mtamari_path, mtamari_right_formula
+
+from conftest import all_base_paths
+
+MAX_SIZE = 14
+MAX_PATHS = 3000
+
+
+def test_census_for_matches_path_census_for_every_pair_up_to_size_8():
+    pairs = 0
+    for nu in all_base_paths(8):
+        paths = enumerate_nu_paths(nu)
+        for delta in increment_box(nu):
+            assert census_for(delta) == path_census(paths, delta), (nu.word, delta.entries)
+            pairs += 1
+    assert pairs == 2584
+
+
+@st.composite
+def instances(draw):
+    words = st.text(alphabet="NE", max_size=MAX_SIZE)
+    nu = LatticePath(draw(words.filter(lambda word: count_paths_above(word) <= MAX_PATHS)))
+    entries = tuple(draw(st.integers(0, c)) for c in nu.composition[1:])
+    return IncrementVector(entries, nu)
+
+
+@settings(max_examples=60, deadline=None)
+@given(instances())
+def test_census_for_matches_path_census_for_random_increments(delta):
+    assert census_for(delta) == path_census(enumerate_nu_paths(delta.nu), delta)
+
+
+def counts_by_length(words: list[str], form, increments: tuple[int, ...]) -> tuple[int, ...]:
+    """How many (bottom, top) word pairs ``form`` accepts, by length from 1 until none."""
+    counts = []
+    for length in range(1, max(map(len, words)) + 1):
+        found = sum(form(bottom, top, length, increments) for bottom, top in product(words, words))
+        if not found:
+            break
+        counts.append(found)
+    return tuple(counts)
+
+
+def test_census_for_matches_the_oracle_excursion_rewrites():
+    # the row walk restates the excursion rule; the oracle walks altitudes on words
+    for nu in all_base_paths(6):
+        words = enumerate_words_above(nu.word)
+        for delta in increment_box(nu):
+            census = census_for(delta)
+            where = (nu.word, delta.entries)
+            assert census.left == counts_by_length(words, rotation_left_form, delta.entries), where
+            assert census.right == counts_by_length(words, rotation_right_form, delta.entries), where
+            assert census.totals[0] == len(words)
+
+
+def test_census_for_meets_the_right_formula_past_enumeration():
+    # (N E^m)^n bases of up to 60 steps, with up to 3.8 * 10^15 paths: far past enumeration
+    rng = random.Random(2305)
+    for parts, height in [(1, 30), (2, 20), (3, 15), (5, 10), (11, 5), (29, 2)]:
+        base = mtamari_path(parts, height)
+        expected = tuple(mtamari_right_formula(parts, height, k) for k in range(1, height))
+        for entries in (base.composition[1:], tuple(rng.randint(0, parts) for _ in range(height))):
+            census = census_for(IncrementVector(entries, base))
+            assert census.right == expected, (parts, height, entries)
+            assert census.totals[0] == count_paths_above(base.word)

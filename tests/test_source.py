@@ -85,6 +85,13 @@ def test_oracle_imports_nothing_from_the_package():
     assert alttamari_imports(oracle.read_text()) == []
 
 
+def test_counting_imports_nothing_from_the_lattice_trees_vectors_or_oracle():
+    # the row-by-row census is checked against all four; transport and cli import
+    # order, and "from . import x" names no module, so it may import paths only
+    counting = Path(alttamari.__file__).parent / "counting.py"
+    assert set(alttamari_imports(counting.read_text())) <= {".paths", "alttamari.paths"}
+
+
 def nu_beside_delta(source: str) -> list[str]:
     """Functions, methods and lambdas included, that take nu together with delta or delta2."""
     found = []

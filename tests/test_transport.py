@@ -218,7 +218,7 @@ def test_verify_theorem_reads_given_censuses(eneen, monkeypatch):
 
     expected = verify_theorem(eneen)
     censuses = {delta: build_lattice(delta).census() for delta in increment_box(eneen)}
-    monkeypatch.setattr(alttamari.transport, "path_census", lambda *args: pytest.fail("recounted"))
+    monkeypatch.setattr(alttamari.transport, "census_for", lambda *args: pytest.fail("recounted"))
     assert verify_theorem(eneen, censuses=censuses) == expected
     single = Census((1,), (), ())
     censuses[IncrementVector.maximal(eneen)] = single
