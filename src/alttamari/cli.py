@@ -22,10 +22,11 @@ Every error is reported as one line on stderr, never as a traceback.
 ``verify --max-size`` uses one process per available core. It forks a
 child per core and deals the base paths out to them by estimated cost:
 the number of deltas times the square of the lattice size, costliest
-first, each to the child with the least load so far. A child checks the
-lattice laws, the oracle census and the theorem for each of its paths and
-sends back only the lines to print and a failure count. The parent prints
-them in sweep order, so its output and exit code are those of a serial run.
+first, each to the child with the least load so far. For each of its paths
+a child checks the lattice laws of every delta, the oracle census of every
+delta against ``census_by_paths`` and the theorem, and sends back only the
+lines to print and a failure count. The parent prints them in sweep order,
+so its output and exit code are those of a serial run.
 """
 
 from __future__ import annotations
@@ -36,8 +37,8 @@ import os
 import sys
 
 from . import oracle
-from .counting import census_for
-from .order import Census, LatticeLawError, build_lattice
+from .counting import census_by_paths, census_for
+from .order import LatticeLawError, build_lattice
 from .paths import (
     ContractError,
     IncrementVector,
@@ -149,7 +150,7 @@ def cmd_verify(args) -> int:
         raise _Usage(f"--sample must be >= 2, got {args.sample}")
     requested = None if args.nu is None else parse_path(args.nu)
     if args.max_size is None:
-        failures = [_report(_verify_one(requested, args, ((), None)))]
+        failures = [_report(_verify_one(requested, args, []))]
     else:
         nus = [] if requested is None else [requested]
         nus += [nu for nu in all_base_paths(args.max_size) if nu != requested]
@@ -159,10 +160,9 @@ def cmd_verify(args) -> int:
     return INVARIANT_BREACH if any(failures) else 0
 
 
-def _verify_one(nu: LatticePath, args, check: tuple) -> tuple[list[str], str, int]:
+def _verify_one(nu: LatticePath, args, mismatches: list[str]) -> tuple[list[str], str, int]:
     """The oracle mismatch lines, the theorem line and the failure count of nu."""
-    mismatches, censuses = check
-    report = verify_theorem(nu, sample=args.sample, seed=args.seed, censuses=censuses)
+    report = verify_theorem(nu, sample=args.sample, seed=args.seed)
     status = "ok" if report.all_equal else "MISMATCH"
     line = (
         f"{nu.word or '(empty)'}: {report.deltas_checked} deltas, "
@@ -180,24 +180,17 @@ def _report(verdict: tuple[list[str], str, int]) -> int:
     return failures
 
 
-def _cross_check(nu: LatticePath) -> tuple[list[str], dict[IncrementVector, Census]]:
-    """Lattice laws of each delta of nu, and its census against the oracle census.
-
-    Returns the oracle mismatch lines and the censuses, each counted row by
-    row (``FiniteLattice.census``).
-    """
+def _cross_check(nu: LatticePath) -> list[str]:
+    """Lattice laws of each delta of nu; the oracle mismatch lines against ``census_by_paths``."""
+    expected = census_by_paths(nu).totals
     mismatches = []
-    censuses = {}
     for delta in increment_box(nu):
         lattice = build_lattice(delta)
         lattice.check_lattice_laws()
         covers = [(low, high) for low, highs in enumerate(lattice.upper_covers) for high in highs]
-        matrix = oracle.closure_from_covers(len(lattice), covers)
-        reference = oracle.oracle_census(matrix)
-        census = censuses[delta] = lattice.census()
-        if census.totals != reference:
+        if oracle.oracle_census(oracle.closure_from_covers(len(lattice), covers)) != expected:
             mismatches.append(f"  oracle mismatch at delta={delta.entries}")
-    return mismatches, censuses
+    return mismatches
 
 
 def _sweep_cost(nu: LatticePath) -> int:

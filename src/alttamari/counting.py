@@ -24,6 +24,11 @@ A finished walk is closed by the number of ways to complete its path.  A
 walk that never finishes drops out, and the length-1 check below, which
 requires as many right entries as valleys, turns it into a
 :class:`LatticeLawError`.
+
+By the theorem every delta of nu has the census of delta = 0, where a
+right entry is the run of north steps after its valley: the entries >= k
+are the factors E N^k, a valley at x ending row y and then k - 1 rows
+without east steps.  :func:`census_by_paths` reads them off the tables.
 """
 
 from __future__ import annotations
@@ -33,7 +38,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate, chain
 from operator import mul, sub
-from typing import Iterable, NamedTuple
+from typing import NamedTuple
 
 from .paths import IncrementVector, LatticePath
 
@@ -95,13 +100,6 @@ def census_from_histograms(size: int, lefts: Counter, rights: Counter) -> Census
         raise LatticeLawError(f"length-1 counts disagree: left={left[0]} right={right[0]}")
     totals = [size] + left[:1] + [a + b for a, b in zip(left[1:], right[1:])]
     return Census(tuple(totals), tuple(left), tuple(right))
-
-
-def census_from_entries(
-    size: int, left_entries: Iterable[int], right_entries: Iterable[int]
-) -> Census:
-    """Linear interval counts of a poset of ``size`` elements from its entries, one by one."""
-    return census_from_histograms(size, Counter(left_entries), Counter(right_entries))
 
 
 class _Rows(NamedTuple):
@@ -181,3 +179,14 @@ def census_for(delta: IncrementVector) -> Census:
     rows = _rows(delta.nu)
     rights = _right_histogram(rows, delta.entries)
     return census_from_histograms(rows.completions[0][0], rows.lefts, rights)
+
+
+def census_by_paths(nu: LatticePath) -> Census:
+    """The census every delta of nu must have, that of delta = 0, counted without delta."""
+    rows, n = _rows(nu), nu.n
+    at_least = [
+        sum(w * rows.completions[y + k][x] for y in range(n - k + 1) for x, w in rows.valleys[y])
+        for k in range(1, n + 2)
+    ]
+    rights = Counter({k: at_least[k - 1] - at_least[k] for k in range(1, n + 1)})
+    return census_from_histograms(rows.completions[0][0], rows.lefts, +rights)

@@ -26,11 +26,12 @@ count them.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property, reduce
 from typing import Sequence
 
-from .counting import Census, LatticeLawError, census_for, census_from_entries
+from .counting import Census, LatticeLawError, census_for, census_from_histograms
 from .paths import (
     ContractError,
     IncrementVector,
@@ -100,11 +101,10 @@ def path_census(paths: Sequence[tuple[int, ...]], delta: IncrementVector) -> Cen
     Row y < n of a path holds one left entry, mu_y; each valley (mu_y > 0)
     holds one right entry, the number of consecutive excursions after it.
     """
-    n = delta.nu.n
-    return census_from_entries(
+    return census_from_histograms(
         len(paths),
-        (entry for mu in paths for entry in mu[:n]),
-        (len(excursion_ends(mu, delta, y)) for mu in paths for y in valleys(mu)),
+        Counter(entry for mu in paths for entry in mu[:-1]),
+        Counter(len(excursion_ends(mu, delta, y)) for mu in paths for y in valleys(mu)),
     )
 
 

@@ -6,19 +6,20 @@ the reduced column vector instead.  Left intervals ride along horizontal
 flushing row by row, right intervals along vertical flushing column by
 column, which is why every alt nu-Tamari lattice over a fixed nu has the
 same number of linear intervals of each length.  ``verify_theorem`` checks
-that statement head-on by counting the census of every lattice in the
-increment box row by row, listing no path.  ``restricted_census`` counts
-the linear intervals of a full rotation lattice restricted to the
-nu-paths path by path, without building that lattice.
+that statement head-on: it counts the census of every lattice in the
+increment box row by row, listing no path, and compares each with the
+delta-free ``census_by_paths``.  ``restricted_census`` counts the linear
+intervals of a full rotation lattice restricted to the nu-paths path by
+path, without building that lattice.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from math import comb
+from math import comb, prod
 
-from .counting import Census, census_for
+from .counting import Census, census_by_paths, census_for
 from .order import (
     apply_horizontal,
     apply_vertical,
@@ -122,35 +123,42 @@ class TheoremReport:
         return doc
 
 
-def verify_theorem(
-    nu: LatticePath, sample: int | None = None, seed: int = 0, censuses: dict | None = None
-) -> TheoremReport:
-    """Census every lattice of the increment box of nu and compare.
+def verify_theorem(nu: LatticePath, sample: int | None = None, seed: int = 0) -> TheoremReport:
+    """Census the lattices of the increment box of nu, each against ``census_by_paths``.
 
     With ``sample`` set (at least 2, else ``ContractError``), at most that
     many increment vectors are drawn (seeded, always keeping the all-zero
-    and maximal ones); otherwise the full box is swept.  Each census is
-    counted row by row by ``census_for``, listing no path, unless
-    ``censuses`` maps every vector compared to one the caller already holds.
+    and maximal ones) without listing the box; otherwise the full box is
+    swept.  Each census is counted row by row by ``census_for``, listing
+    no path; the report carries the delta-free one they must all equal.
     """
     if sample is not None and sample < 2:
         raise ContractError(f"sample must be >= 2, got {sample}")
-    deltas = list(increment_box(nu))
-    if sample is not None and len(deltas) > sample:
+    size = prod(bound + 1 for bound in nu.composition[1:])
+    if sample is None or size <= sample:
+        deltas = list(increment_box(nu))
+    else:
         rng = random.Random(seed)
-        keep = {0, len(deltas) - 1}
+        keep = {0, size - 1}
         while len(keep) < sample:
-            keep.add(rng.randrange(len(deltas)))
-        deltas = [deltas[i] for i in sorted(keep)]
-    if censuses is None:
-        censuses = {delta: census_for(delta) for delta in deltas}
-    reference = censuses[deltas[0]]
-    mismatches = tuple(
-        f"delta={delta.entries}: {censuses[delta]} != {reference}"
-        for delta in deltas[1:]
-        if censuses[delta] != reference
-    )
-    return TheoremReport(nu, len(deltas), reference, mismatches)
+            keep.add(rng.randrange(size))
+        deltas = [_box_vector(nu, index) for index in sorted(keep)]
+    reference = census_by_paths(nu)
+    mismatches = []
+    for delta in deltas:
+        census = census_for(delta)
+        if census != reference:
+            mismatches.append(f"delta={delta.entries}: {census} != {reference}")
+    return TheoremReport(nu, len(deltas), reference, tuple(mismatches))
+
+
+def _box_vector(nu: LatticePath, index: int) -> IncrementVector:
+    """The increment vector at ``index`` in ``increment_box(nu)`` order, the last entry fastest."""
+    entries = []
+    for bound in reversed(nu.composition[1:]):
+        index, entry = divmod(index, bound + 1)
+        entries.append(entry)
+    return IncrementVector(tuple(reversed(entries)), nu)
 
 
 @dataclass(frozen=True)

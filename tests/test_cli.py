@@ -799,6 +799,13 @@ def test_mtamari_check_counts_far_past_enumeration_in_seconds(capsys):
     assert len(lines) == 30 and all(line.endswith(" ok") for line in lines)
 
 
+def test_verify_samples_a_box_too_large_to_list():
+    # (N E^2)^30 has 3^30 ~ 2 * 10^14 increment vectors
+    code, out, err = run_capped(256 * MB, "verify", "--nu", "NEE" * 30, "--sample", "20")
+    assert (code, err) == (0, "")
+    assert out.startswith("NEE" * 30 + ": 20 deltas, census (") and out.endswith(", ok\n")
+
+
 def test_a_closed_stdout_ends_quietly_with_exit_1():
     # a reader that stops early, like ``| head -1``, gets no traceback on stderr
     argv = cli_argv("paths", "--nu", "NEENEENEENEENEENEENEE")

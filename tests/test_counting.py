@@ -1,5 +1,5 @@
-"""The row-by-row census against path enumeration, the oracle's word rewrites and the
-closed right-interval formula past enumeration."""
+"""The row-by-row census and the delta-free census against path enumeration, the
+oracle's word rewrites and the closed right-interval formula past enumeration."""
 
 import random
 from itertools import product
@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from alttamari import IncrementVector, LatticePath, enumerate_nu_paths, increment_box
-from alttamari.counting import census_for
+from alttamari.counting import census_by_paths, census_for
 from alttamari.oracle import (
     count_paths_above,
     enumerate_words_above,
@@ -27,9 +27,10 @@ MAX_PATHS = 3000
 def test_census_for_matches_path_census_for_every_pair_up_to_size_8():
     pairs = 0
     for nu in all_base_paths(8):
-        paths = enumerate_nu_paths(nu)
+        paths, reference = enumerate_nu_paths(nu), census_by_paths(nu)
         for delta in increment_box(nu):
-            assert census_for(delta) == path_census(paths, delta), (nu.word, delta.entries)
+            census = census_for(delta)
+            assert census == path_census(paths, delta) == reference, (nu.word, delta.entries)
             pairs += 1
     assert pairs == 2584
 
@@ -62,13 +63,14 @@ def counts_by_length(words: list[str], form, increments: tuple[int, ...]) -> tup
 def test_census_for_matches_the_oracle_excursion_rewrites():
     # the row walk restates the excursion rule; the oracle walks altitudes on words
     for nu in all_base_paths(6):
-        words = enumerate_words_above(nu.word)
+        words, reference = enumerate_words_above(nu.word), census_by_paths(nu)
         for delta in increment_box(nu):
             census = census_for(delta)
             where = (nu.word, delta.entries)
             assert census.left == counts_by_length(words, rotation_left_form, delta.entries), where
             assert census.right == counts_by_length(words, rotation_right_form, delta.entries), where
             assert census.totals[0] == len(words)
+            assert census == reference, where
 
 
 def test_census_for_meets_the_right_formula_past_enumeration():
@@ -77,7 +79,9 @@ def test_census_for_meets_the_right_formula_past_enumeration():
     for parts, height in [(1, 30), (2, 20), (3, 15), (5, 10), (11, 5), (29, 2)]:
         base = mtamari_path(parts, height)
         expected = tuple(mtamari_right_formula(parts, height, k) for k in range(1, height))
+        reference = census_by_paths(base)
+        assert reference.right == expected, (parts, height)
+        assert reference.totals[0] == count_paths_above(base.word)
         for entries in (base.composition[1:], tuple(rng.randint(0, parts) for _ in range(height))):
             census = census_for(IncrementVector(entries, base))
-            assert census.right == expected, (parts, height, entries)
-            assert census.totals[0] == count_paths_above(base.word)
+            assert census == reference, (parts, height, entries)

@@ -1,5 +1,7 @@
 """Property tests on random base paths past the exhaustive m + n <= 7 sweeps."""
 
+from collections import Counter
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -25,7 +27,7 @@ from alttamari.order import (
     RIGHT,
     apply_horizontal,
     apply_vertical,
-    census_from_entries,
+    census_from_histograms,
     left_witness,
     path_census,
     right_witness,
@@ -158,9 +160,9 @@ def test_path_census_matches_the_right_flushed_trees_vectors(instance):
     region = build_region(delta)
     paths = enumerate_nu_paths(nu)
     trees = [right_flushing(mu, region) for mu in paths]
-    expected = census_from_entries(
+    expected = census_from_histograms(
         len(paths),
-        (entry for tree in trees for entry in row_vector(tree)[: nu.n]),
-        (entry for tree in trees for entry in reduced_column_vector(tree)),
+        Counter(entry for tree in trees for entry in row_vector(tree)[: nu.n]),
+        Counter(entry for tree in trees for entry in reduced_column_vector(tree)),
     )
     assert path_census(paths, delta) == expected

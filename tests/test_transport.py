@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 
@@ -24,6 +25,7 @@ from alttamari import (
     vertical_flushing,
 )
 from alttamari import oracle
+from alttamari.cli import main
 from alttamari.order import Census, apply_horizontal, apply_vertical
 from alttamari.paths import is_weakly_above
 from alttamari.transport import bad_bases
@@ -213,18 +215,51 @@ def test_verify_theorem_refuses_samples_below_two(sample):
         verify_theorem(LatticePath("NEENEENEE"), sample=sample)
 
 
-def test_verify_theorem_reads_given_censuses(eneen, monkeypatch):
+def test_verify_theorem_holds_every_delta_to_the_delta_free_census(eneen, monkeypatch, capsys):
     import alttamari.transport
 
-    expected = verify_theorem(eneen)
-    censuses = {delta: build_lattice(delta).census() for delta in increment_box(eneen)}
-    monkeypatch.setattr(alttamari.transport, "census_for", lambda *args: pytest.fail("recounted"))
-    assert verify_theorem(eneen, censuses=censuses) == expected
+    expected = verify_theorem(eneen).census
     single = Census((1,), (), ())
-    censuses[IncrementVector.maximal(eneen)] = single
-    report = verify_theorem(eneen, censuses=censuses)
-    assert not report.all_equal
-    assert report.mismatches == (f"delta=(2, 0): {single} != {expected.census}",)
+    census_for = alttamari.transport.census_for
+
+    def wrong_at(*wrong):
+        monkeypatch.setattr(
+            alttamari.transport,
+            "census_for",
+            lambda delta: single if delta.entries in wrong else census_for(delta),
+        )
+
+    wrong_at(*(delta.entries for delta in increment_box(eneen)))  # wrong the same way everywhere
+    assert main(["verify", "--nu", eneen.word]) == 4
+    assert capsys.readouterr().out == "ENEEN: 3 deltas, census (7, 8, 4, 1), MISMATCH\n"
+    for entries in [(0, 0), (2, 0)]:
+        wrong_at(entries)
+        report = verify_theorem(eneen)
+        assert report.census == expected
+        assert report.mismatches == (f"delta={entries}: {single} != {expected}",)
+
+
+def test_verify_theorem_samples_as_if_it_listed_the_box(monkeypatch):
+    import alttamari.transport
+
+    census_for = alttamari.transport.census_for
+    seen = []
+    monkeypatch.setattr(
+        alttamari.transport, "census_for", lambda delta: seen.append(delta) or census_for(delta)
+    )
+    for nu in all_base_paths(7):
+        box = list(increment_box(nu))
+        for sample, seed in itertools.product((2, 3, 5), (0, 7)):
+            picked = box
+            if len(box) > sample:
+                rng = random.Random(seed)
+                keep = {0, len(box) - 1}
+                while len(keep) < sample:
+                    keep.add(rng.randrange(len(box)))
+                picked = [box[i] for i in sorted(keep)]
+            seen.clear()
+            assert verify_theorem(nu, sample=sample, seed=seed).deltas_checked == len(picked)
+            assert seen == picked, (nu.word, sample, seed)
 
 
 def test_verify_theorem_report_json(eneen):

@@ -1,4 +1,5 @@
 import itertools
+from collections import Counter
 
 import pytest
 
@@ -22,7 +23,7 @@ from alttamari import (
     validate_reduced_column_vector,
     validate_row_vector,
 )
-from alttamari.order import census_from_entries, path_census
+from alttamari.order import census_from_histograms, path_census
 from alttamari.paths import is_weakly_above
 from alttamari.trees import GridTree, bottom_tree
 from alttamari.vectors import VectorValidationError
@@ -189,10 +190,10 @@ def test_path_census_matches_the_right_flushed_trees_vectors():
         region = build_region(delta)
         paths = enumerate_nu_paths(nu)
         trees = [right_flushing(mu, region) for mu in paths]
-        expected = census_from_entries(
+        expected = census_from_histograms(
             len(paths),
-            (entry for tree in trees for entry in row_vector(tree)[: nu.n]),
-            (entry for tree in trees for entry in reduced_column_vector(tree)),
+            Counter(entry for tree in trees for entry in row_vector(tree)[: nu.n]),
+            Counter(entry for tree in trees for entry in reduced_column_vector(tree)),
         )
         assert path_census(paths, delta) == expected, (nu.word, delta.entries)
 
