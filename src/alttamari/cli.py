@@ -45,6 +45,7 @@ from .paths import (
     LatticePath,
     PathSyntaxError,
     all_base_paths,
+    box_size,
     enumerate_nu_paths,
     increment_box,
     is_weakly_above,
@@ -199,10 +200,7 @@ def _sweep_cost(nu: LatticePath) -> int:
     The lattice laws and the oracle census each visit the N² pairs of a
     lattice, and every lattice of the box has the same N elements.
     """
-    cost = oracle.count_paths_above(nu.word) ** 2
-    for entry in nu.composition[1:]:
-        cost *= entry + 1
-    return cost
+    return box_size(nu) * oracle.count_paths_above(nu.word) ** 2
 
 
 def _assign(costs: list[int], workers: int) -> list[int]:

@@ -1,15 +1,19 @@
-"""The census of one alt nu-Tamari lattice, counted row by row without listing a path.
+"""The census of one alt nu-Tamari lattice: its linear intervals counted by length.
 
-A linear interval is counted once from its bottom path mu (see
-:mod:`alttamari.order`).  Row y < n of mu holds one left entry, mu_y: one
-left interval of each length 1..mu_y.  Each valley (mu_y > 0) holds one
-right entry, the number r of consecutive excursions after it: one right
-interval of each length 1..r.  The census is the histogram of these
-entries over all nu-paths, turned into counts of entries >= k.
+A linear interval is counted once from its bottom path mu.  At a valley
+ending row y, moving 1..mu_y east steps of row y up to the end of the
+excursion that follows gives one left interval of each length: row y < n
+holds one left entry, mu_y.  Moving one east step past 1..r consecutive
+excursions (:func:`alttamari.paths.excursion_ends`) gives one right
+interval of each length: each valley (mu_y > 0) holds one right entry, r.
+The census is the histogram of these entries over all nu-paths, turned
+into counts of entries >= k.  :func:`path_census` takes the histogram path
+by path, over any upper set of paths: rotations only raise a path, so an
+interval whose bottom lies in an upper set lies wholly in it.
 
-The paths are never listed.  A path is a walk up the rows of nu: after
-row y it has made x <= b_y east steps, b_y being the reach of nu at row
-y.  The tables of :func:`_rows` count, once per nu, the walks from the
+:func:`census_for` lists no path.  A path is a walk up the rows of nu:
+after row y it has made x <= b_y east steps, b_y being the reach of nu at
+row y.  The tables of :func:`_rows` count, once per nu, the walks from the
 start to each point and from each point to the end; the left histogram
 and the lattice size follow from them and do not depend on delta.
 
@@ -38,9 +42,9 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate, chain
 from operator import mul, sub
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
-from .paths import IncrementVector, LatticePath
+from .paths import IncrementVector, LatticePath, excursion_ends, valleys
 
 
 class LatticeLawError(AssertionError):
@@ -100,6 +104,15 @@ def census_from_histograms(size: int, lefts: Counter, rights: Counter) -> Census
         raise LatticeLawError(f"length-1 counts disagree: left={left[0]} right={right[0]}")
     totals = [size] + left[:1] + [a + b for a, b in zip(left[1:], right[1:])]
     return Census(tuple(totals), tuple(left), tuple(right))
+
+
+def path_census(paths: Sequence[tuple[int, ...]], delta: IncrementVector) -> Census:
+    """The census of an upper set of delta-rotation paths, their entries taken path by path."""
+    return census_from_histograms(
+        len(paths),
+        Counter(entry for mu in paths for entry in mu[:-1]),
+        Counter(len(excursion_ends(mu, delta, y)) for mu in paths for y in valleys(mu)),
+    )
 
 
 class _Rows(NamedTuple):
@@ -181,6 +194,7 @@ def census_for(delta: IncrementVector) -> Census:
     return census_from_histograms(rows.completions[0][0], rows.lefts, rights)
 
 
+@lru_cache(maxsize=16)
 def census_by_paths(nu: LatticePath) -> Census:
     """The census every delta of nu must have, that of delta = 0, counted without delta."""
     rows, n = _rows(nu), nu.n

@@ -9,36 +9,25 @@ cover lists and meet/join reduce to bit tricks on the closure rows.
 Words are spelled out only for export.
 
 Non-trivial linear intervals split into left intervals and right
-intervals, and the census counts both from their bottom paths.  At a
-valley ending row y, moving 1..mu_y east steps of row y up to the end of
-the excursion that follows gives one left interval of each length, and
-moving one east step past 1..r consecutive excursions gives one right
-interval of each length, r being the length of that run of excursions
-(:func:`alttamari.paths.excursion_ends`).  The census of a lattice is
-counted row by row without listing a path
-(:func:`alttamari.counting.census_for`); :func:`path_census` counts the
-same entries path by path over any upper set of paths it is given.  On
-trees the same intervals rotate a run of nodes in one row up from the
-bottom tree, or a run of nodes in one column down from the top tree; the
-witnesses below find those runs, and the row and reduced column vectors
-count them.
+intervals; :mod:`alttamari.counting` counts both on paths.  On trees a
+left interval rotates a run of nodes in one row up from the bottom tree,
+and a right interval a run of nodes in one column down from the top
+tree; the witnesses below find those runs, and the row and reduced
+column vectors count them.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property, reduce
-from typing import Sequence
 
-from .counting import Census, LatticeLawError, census_for, census_from_histograms
+from .counting import Census, LatticeLawError, census_for
 from .paths import (
     ContractError,
     IncrementVector,
     LatticePath,
     delta_rotate,
     enumerate_nu_paths,
-    excursion_ends,
     valleys,
 )
 from .trees import (
@@ -93,19 +82,6 @@ class IntervalRecord:
     kind: str
     also_right: bool = False
     witness: HorizontalL | VerticalL | None = None
-
-
-def path_census(paths: Sequence[tuple[int, ...]], delta: IncrementVector) -> Census:
-    """Linear interval counts of an upper set of delta-rotation paths, from their bottoms.
-
-    Row y < n of a path holds one left entry, mu_y; each valley (mu_y > 0)
-    holds one right entry, the number of consecutive excursions after it.
-    """
-    return census_from_histograms(
-        len(paths),
-        Counter(entry for mu in paths for entry in mu[:-1]),
-        Counter(len(excursion_ends(mu, delta, y)) for mu in paths for y in valleys(mu)),
-    )
 
 
 class FiniteLattice:

@@ -36,6 +36,7 @@ here and nowhere else.
 from __future__ import annotations
 
 import itertools
+import math
 import sys
 from dataclasses import dataclass
 from functools import cached_property
@@ -220,11 +221,25 @@ def parse_increments(text: str, nu: LatticePath) -> IncrementVector:
     return IncrementVector(_parse_entries(text, "increment"), nu)
 
 
+def box_size(nu: LatticePath) -> int:
+    """The number of increment vectors for nu, prod_i (nu_i + 1)."""
+    return math.prod(c + 1 for c in nu.composition[1:])
+
+
+def box_vector(nu: LatticePath, index: int) -> IncrementVector:
+    """The increment vector at ``index`` in 0..box_size(nu) - 1, the last entry running fastest."""
+    entries = []
+    for bound in reversed(nu.composition[1:]):
+        index, entry = divmod(index, bound + 1)
+        entries.append(entry)
+    if index:
+        raise ContractError(f"box index out of range 0..{box_size(nu) - 1}")
+    return IncrementVector(tuple(reversed(entries)), nu)
+
+
 def increment_box(nu: LatticePath) -> Iterator[IncrementVector]:
-    """All increment vectors for nu, i.e. the box prod_i {0..nu_i}."""
-    ranges = [range(c + 1) for c in nu.composition[1:]]
-    for entries in itertools.product(*ranges):
-        yield IncrementVector(entries, nu)
+    """All increment vectors for nu, i.e. the box prod_i {0..nu_i}, in ``box_vector`` order."""
+    return (box_vector(nu, index) for index in range(box_size(nu)))
 
 
 def valleys(composition: tuple[int, ...]) -> list[int]:

@@ -17,15 +17,14 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from math import comb, prod
+from math import comb
 
-from .counting import Census, census_by_paths, census_for
+from .counting import Census, census_by_paths, census_for, path_census
 from .order import (
     apply_horizontal,
     apply_vertical,
     left_intervals_from,
     left_witness,
-    path_census,
     right_intervals_to,
     right_witness,
 )
@@ -34,9 +33,10 @@ from .paths import (
     IncrementVector,
     LatticePath,
     PathSyntaxError,
+    box_size,
+    box_vector,
     delta_rotate,
     enumerate_nu_paths,
-    increment_box,
     is_weakly_above,
     valleys,
 )
@@ -134,31 +134,22 @@ def verify_theorem(nu: LatticePath, sample: int | None = None, seed: int = 0) ->
     """
     if sample is not None and sample < 2:
         raise ContractError(f"sample must be >= 2, got {sample}")
-    size = prod(bound + 1 for bound in nu.composition[1:])
-    if sample is None or size <= sample:
-        deltas = list(increment_box(nu))
-    else:
+    size = box_size(nu)
+    indices = range(size)
+    if sample is not None and size > sample:
         rng = random.Random(seed)
         keep = {0, size - 1}
         while len(keep) < sample:
             keep.add(rng.randrange(size))
-        deltas = [_box_vector(nu, index) for index in sorted(keep)]
+        indices = sorted(keep)
     reference = census_by_paths(nu)
     mismatches = []
-    for delta in deltas:
+    for index in indices:
+        delta = box_vector(nu, index)
         census = census_for(delta)
         if census != reference:
             mismatches.append(f"delta={delta.entries}: {census} != {reference}")
-    return TheoremReport(nu, len(deltas), reference, tuple(mismatches))
-
-
-def _box_vector(nu: LatticePath, index: int) -> IncrementVector:
-    """The increment vector at ``index`` in ``increment_box(nu)`` order, the last entry fastest."""
-    entries = []
-    for bound in reversed(nu.composition[1:]):
-        index, entry = divmod(index, bound + 1)
-        entries.append(entry)
-    return IncrementVector(tuple(reversed(entries)), nu)
+    return TheoremReport(nu, len(indices), reference, tuple(mismatches))
 
 
 @dataclass(frozen=True)
@@ -179,7 +170,7 @@ def restricted_census(nu: LatticePath, base: LatticePath) -> RestrictedReport:
     only raise a path, so the nu-paths form an upper set of the full
     lattice: an interval whose bottom is a nu-path lies wholly among
     them, and counting each nu-path's intervals from the bottom, as
-    :func:`alttamari.order.path_census` does over base's maximal
+    :func:`alttamari.counting.path_census` does over base's maximal
     increment vector, is exact.  The minimal nu-paths are those that no
     rotation of a nu-path reaches.  When some east run of `base` after
     its first north step exceeds the one of nu, right counts may drop;

@@ -777,12 +777,12 @@ def test_census_only_commands_build_no_lattice(capsys, monkeypatch, argv, expect
 
 @CENSUS_ONLY
 def test_census_only_commands_list_no_path(capsys, monkeypatch, argv, expected):
-    from alttamari import order, paths, transport
+    from alttamari import counting, order, paths, transport
 
     def refuse(*args):
         raise AssertionError("no path may be listed")
 
-    for module in (paths, order, transport, alttamari.cli):
+    for module in (paths, counting, order, transport, alttamari.cli):
         for name in ("enumerate_nu_paths", "path_census"):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, refuse)

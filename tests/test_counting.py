@@ -8,14 +8,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from alttamari import IncrementVector, LatticePath, enumerate_nu_paths, increment_box
-from alttamari.counting import census_by_paths, census_for
+from alttamari.counting import census_by_paths, census_for, path_census
 from alttamari.oracle import (
     count_paths_above,
     enumerate_words_above,
     rotation_left_form,
     rotation_right_form,
 )
-from alttamari.order import path_census
 from alttamari.transport import mtamari_path, mtamari_right_formula
 
 from conftest import all_base_paths
@@ -46,7 +45,8 @@ def instances(draw):
 @settings(max_examples=60, deadline=None)
 @given(instances())
 def test_census_for_matches_path_census_for_random_increments(delta):
-    assert census_for(delta) == path_census(enumerate_nu_paths(delta.nu), delta)
+    census = census_for(delta)
+    assert census == path_census(enumerate_nu_paths(delta.nu), delta) == census_by_paths(delta.nu)
 
 
 def counts_by_length(words: list[str], form, increments: tuple[int, ...]) -> tuple[int, ...]:

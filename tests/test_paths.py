@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -17,7 +19,7 @@ from alttamari import (
     valleys,
 )
 from alttamari.oracle import count_paths_above, naive_rotations
-from alttamari.paths import is_weakly_above
+from alttamari.paths import box_size, box_vector, is_weakly_above
 
 from conftest import all_base_paths
 
@@ -101,6 +103,19 @@ def test_increment_box(eneen):
     box = [d.entries for d in increment_box(eneen)]
     assert box == [(0, 0), (1, 0), (2, 0)]
     assert [d.entries for d in increment_box(LatticePath("EEE"))] == [()]
+    # two non-trivial entries, the last one fastest: (0..1) x (0..2) x {0}
+    box = [d.entries for d in increment_box(LatticePath("NENEEN"))]
+    assert box == [(0, 0, 0), (0, 1, 0), (0, 2, 0), (1, 0, 0), (1, 1, 0), (1, 2, 0)]
+    for nu in all_base_paths(6):
+        box = list(increment_box(nu))
+        assert [d.entries for d in box] == list(
+            itertools.product(*(range(c + 1) for c in nu.composition[1:]))
+        )
+        assert box_size(nu) == len(box)
+        assert [box_vector(nu, i) for i in range(len(box))] == box
+        for index in (-1, len(box)):
+            with pytest.raises(ContractError, match="box index"):
+                box_vector(nu, index)
 
 
 def test_weakly_above_needs_prefix_bounds_and_end_points(eneen):

@@ -22,14 +22,13 @@ from alttamari import (
     row_vector,
     valleys,
 )
+from alttamari.counting import census_from_histograms, path_census
 from alttamari.order import (
     LEFT,
     RIGHT,
     apply_horizontal,
     apply_vertical,
-    census_from_histograms,
     left_witness,
-    path_census,
     right_witness,
 )
 from alttamari.oracle import (

@@ -1,7 +1,10 @@
 import itertools
 import random
+from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from alttamari import (
     ContractError,
@@ -183,6 +186,41 @@ def test_transport_carries_every_linear_interval_to_a_distinct_one_of_the_same_l
                     )
                 images.add((bottom2.nodes, top2.nodes))
             assert len(images) == len(intervals[delta])
+
+
+@st.composite
+def box_pairs(draw, max_size, max_elements):
+    """Two increment vectors of one nu with at most max_size steps and max_elements paths."""
+    words = st.text(alphabet="NE", max_size=max_size)
+    nu = LatticePath(draw(words.filter(lambda word: oracle.count_paths_above(word) <= max_elements)))
+    return [
+        IncrementVector(tuple(draw(st.integers(0, c)) for c in nu.composition[1:]), nu)
+        for _ in range(2)
+    ]
+
+
+@settings(max_examples=25, deadline=None)
+@given(box_pairs(12, 300))
+def test_transport_is_a_bijection_on_linear_intervals_past_the_exhaustive_sizes(pair):
+    delta, delta2 = pair
+    target = build_lattice(delta2)
+    intervals = list(_linear_intervals(build_lattice(delta)))
+    rights2 = Counter(
+        (bottom.nodes, top.nodes, length)
+        for bottom, top, row, length in _linear_intervals(target)
+        if row is None
+    )
+    images, right_images = set(), Counter()
+    for bottom, top, row, length in intervals:
+        transport = transport_right_interval if row is None else transport_left_interval
+        bottom2, top2 = transport(bottom, top, delta2)
+        assert target.is_linear(target.tree_id(bottom2), target.tree_id(top2)) == (True, length)
+        images.add((bottom2.nodes, top2.nodes))
+        if row is None:
+            right_images[bottom2.nodes, top2.nodes, length] += 1
+    assert len(images) == len(intervals)
+    # the right images of each length are the right intervals of delta2 of that length, each once
+    assert right_images == rights2 and set(rights2.values()) <= {1}
 
 
 def test_verify_theorem_examples(eneen):

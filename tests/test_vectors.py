@@ -23,7 +23,7 @@ from alttamari import (
     validate_reduced_column_vector,
     validate_row_vector,
 )
-from alttamari.order import census_from_histograms, path_census
+from alttamari.counting import census_from_histograms, path_census
 from alttamari.paths import is_weakly_above
 from alttamari.trees import GridTree, bottom_tree
 from alttamari.vectors import VectorValidationError
