@@ -48,17 +48,12 @@ NON_LINEAR = "non-linear"
 
 @dataclass(frozen=True)
 class _RunL:
-    anchor: Point
     run: tuple[Point, ...]
-
-    @property
-    def length(self) -> int:
-        return len(self.run) - 1
 
 
 @dataclass(frozen=True)
 class HorizontalL(_RunL):
-    """A row run q_0..q_l of tree nodes with the parent p of q_0 on top."""
+    """A row run q_0..q_l of tree nodes, left to right."""
 
     @property
     def row(self) -> int:
@@ -67,7 +62,7 @@ class HorizontalL(_RunL):
 
 @dataclass(frozen=True)
 class VerticalL(_RunL):
-    """A column run q'_0..q'_l of tree nodes, top down, with the parent p of q'_0."""
+    """A column run q'_0..q'_l of tree nodes, top down."""
 
     @property
     def column(self) -> int:
@@ -277,11 +272,7 @@ def left_intervals_from(tree: GridTree, length: int) -> list[HorizontalL]:
         xs = tree.by_row[y]
         if len(xs) - 1 < length:
             continue
-        run = tuple((x, y) for x in xs[: length + 1])
-        above = [yy for yy in tree.by_column.get(xs[0], ()) if yy > y]
-        if not above:
-            raise ContractError(f"leftmost node ({xs[0]},{y}) has no parent above")
-        found.append(HorizontalL((xs[0], min(above)), run))
+        found.append(HorizontalL(tuple((x, y) for x in xs[: length + 1])))
     return found
 
 
@@ -294,12 +285,7 @@ def right_intervals_to(tree: GridTree, length: int) -> list[VerticalL]:
         relevant = tree.relevant_column(x)
         if len(relevant) - 1 < length:
             continue
-        run = tuple((x, y) for y in relevant[::-1][: length + 1])
-        top_y = run[0][1]
-        lefts = [xx for xx in tree.by_row[top_y] if xx < x]
-        if not lefts:
-            raise ContractError(f"column-top node ({x},{top_y}) has no parent to its left")
-        found.append(VerticalL((max(lefts), top_y), run))
+        found.append(VerticalL(tuple((x, y) for y in relevant[::-1][: length + 1])))
     return found
 
 

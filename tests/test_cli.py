@@ -182,6 +182,21 @@ def test_mtamari_check(capsys):
     assert "MISMATCH" not in out
 
 
+def test_mtamari_check_reports_a_formula_mismatch(capsys, monkeypatch):
+    import alttamari.cli
+
+    formula = alttamari.cli.mtamari_right_formula
+    monkeypatch.setattr(
+        alttamari.cli,
+        "mtamari_right_formula",
+        lambda m, n, length: formula(m, n, length) + (length == 1),
+    )
+    code, out, err = run(capsys, "mtamari-check", "--m", "2", "--n", "3")
+    lines = out.splitlines()
+    assert (code, err, len(lines)) == (4, "", 3)
+    assert lines[0].endswith(" MISMATCH") and all(line.endswith(" ok") for line in lines[1:])
+
+
 @pytest.mark.parametrize(
     "m, n, message",
     [
@@ -569,6 +584,11 @@ def test_verify_checks_a_requested_path_inside_the_sweep_once(capsys):
     assert [line.split(":")[0] for line in lines].count("NE") == 1
 
 
+def eneen_tree(*nodes) -> str:
+    """A tree file over ENEEN and delta (2, 0) that holds these nodes."""
+    return json.dumps({"nu": "ENEEN", "delta": [2, 0], "nodes": list(nodes)})
+
+
 @pytest.mark.parametrize(
     "content, needle",
     [
@@ -579,13 +599,17 @@ def test_verify_checks_a_requested_path_inside_the_sweep_once(capsys):
         (json.dumps([1, 2]), "holds no tree"),
         (json.dumps({"nu": 5, "delta": [2, 0], "nodes": []}), "holds no tree"),
         (json.dumps({"nu": "ENEEN", "delta": "2,0", "nodes": []}), "holds no tree"),
-        (json.dumps({"nu": "ENEEN", "delta": [2, 0], "nodes": [[0, 2, 1]]}), "holds no tree"),
+        (eneen_tree([0, 2, 1]), "holds no tree"),
         (json.dumps({"nu": "ENXEN", "delta": [2, 0], "nodes": []}), "invalid step"),
-        (json.dumps({"nu": "ENEEN", "delta": [2, 0], "nodes": [[0, 2]]}), "expected 6"),
+        (eneen_tree([0, 2]), "expected 6"),
+        (eneen_tree([0, 1], [0, 2], [1, 0], [2, 1], [3, 1], [5, 0]), "outside the region"),
+        (eneen_tree([0, 1], [0, 2], [1, 0], [1, 2], [2, 1], [3, 1]), "incompatible nodes"),
+        (eneen_tree([0, 0], [0, 1], [1, 0], [1, 1], [2, 1], [3, 1]), "misses the top-left corner"),
     ],
     ids=[
         "missing", "bad-json", "too-deep", "no-nodes", "not-an-object", "nu-not-a-word",
-        "delta-not-a-list", "node-not-a-pair", "bad-nu", "not-a-tree",
+        "delta-not-a-list", "node-not-a-pair", "bad-nu", "not-a-tree", "outside-the-region",
+        "incompatible-nodes", "no-top-left-corner",
     ],
 )
 def test_flush_refuses_unreadable_tree_files(tmp_path, capsys, content, needle):

@@ -1,5 +1,5 @@
 """The row-by-row census and the delta-free census against path enumeration, the
-oracle's word rewrites and the closed right-interval formula past enumeration."""
+oracle's word rewrites, the closed right-interval formula and each other past enumeration."""
 
 import random
 from itertools import product
@@ -85,3 +85,20 @@ def test_census_for_meets_the_right_formula_past_enumeration():
         for entries in (base.composition[1:], tuple(rng.randint(0, parts) for _ in range(height))):
             census = census_for(IncrementVector(entries, base))
             assert census == reference, (parts, height, entries)
+
+
+@st.composite
+def long_instances(draw):
+    size = draw(st.integers(15, 60))
+    nu = LatticePath(draw(st.text(alphabet="NE", min_size=size, max_size=size)))
+    entries = tuple(draw(st.integers(0, c)) for c in nu.composition[1:])
+    return IncrementVector(entries, nu)
+
+
+@settings(max_examples=60, deadline=None)
+@given(long_instances())
+def test_census_for_meets_the_delta_free_census_on_any_base_past_enumeration(delta):
+    # bases of 15 to 60 steps of any shape, most with far too many paths to list
+    reference = census_by_paths(delta.nu)
+    assert census_for(delta) == reference
+    assert reference.totals[0] == count_paths_above(delta.nu.word)

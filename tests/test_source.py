@@ -125,14 +125,16 @@ def test_library_code_takes_delta_without_its_nu():
 
 
 def test_cli_start_up_loads_no_pickle_or_process_pool():
-    # every command pays for what importing the CLI loads; only the verify sweep needs pickle
+    # every command pays for what importing the CLI loads; only a forking verify sweep needs
+    # pickle, and a one-word verify runs in the parent
     src = str(Path(alttamari.__file__).parents[1])
     script = (
         f"import sys; sys.path.insert(0, {src!r})\n"
         "import alttamari.cli; alttamari.cli.build_parser()\n"
+        "alttamari.cli.main(['verify', '--nu', 'ENEEN'])\n"
         "print(sorted({'pickle', 'multiprocessing', 'concurrent.futures'} & set(sys.modules)))\n"
     )
     done = subprocess.run(
         [sys.executable, "-c", script], capture_output=True, text=True, timeout=60, check=True
     )
-    assert done.stdout == "[]\n"
+    assert done.stdout == "ENEEN: 3 deltas, census (7, 8, 4, 1), ok\n[]\n"

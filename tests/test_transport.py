@@ -1,4 +1,5 @@
 import itertools
+import os
 import random
 from collections import Counter
 
@@ -275,6 +276,16 @@ def test_verify_theorem_holds_every_delta_to_the_delta_free_census(eneen, monkey
         report = verify_theorem(eneen)
         assert report.census == expected
         assert report.mismatches == (f"delta={entries}: {single} != {expected}",)
+    # verify names the failing delta on stderr, also when a forked worker checked it
+    named = f"  delta=(0, 0): {single} != {expected}\n"
+    wrong_at((0, 0))
+    assert main(["verify", "--nu", eneen.word]) == 4
+    assert capsys.readouterr() == ("ENEEN: 3 deltas, census (7, 8, 4, 1), MISMATCH\n", named)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    assert main(["verify", "--nu", eneen.word, "--max-size", "1"]) == 4
+    out, err = capsys.readouterr()
+    assert err == named
+    assert [line.endswith(", ok") for line in out.splitlines()] == [False, True, True, True]
 
 
 def test_verify_theorem_samples_as_if_it_listed_the_box(monkeypatch):
