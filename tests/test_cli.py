@@ -739,7 +739,7 @@ def run_capped(limit: int, *args: str) -> tuple[int, str, str]:
 
 
 MB = 1 << 20
-NE2_8 = "NEE" * 8  # 43,263 paths: their order closures alone take ~470 MB
+NE2_8 = "NEE" * 8  # 43,263 paths: a census builds their up closure alone, ~240 MB
 
 
 @pytest.mark.parametrize(

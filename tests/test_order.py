@@ -22,7 +22,7 @@ from alttamari import (
     transport_left_interval,
     transport_right_interval,
 )
-from alttamari import oracle
+from alttamari import oracle, order
 from alttamari.order import NON_LINEAR, LEFT, RIGHT, TRIVIAL, apply_horizontal, apply_vertical
 from alttamari.paths import excursion_ends
 from alttamari.vectors import reduced_column_vector
@@ -96,15 +96,17 @@ def test_closure_build_leaves_little_transient_memory():
     # (NE)^9 with maximal delta: 4,862 elements.  Building the closures
     # from cover lists allocates little beyond the rows it keeps.
     delta = IncrementVector.maximal(LatticePath("NE" * 9))
+    order._skeleton.cache_clear()
     gc.collect()
     tracemalloc.start()
     try:
         lat = build_lattice(delta)
+        down = lat.down
         held, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert len(lat) == 4862
-    closure_bytes = sum(map(sys.getsizeof, lat.up + lat.down))
+    closure_bytes = sum(map(sys.getsizeof, lat.up + down))
     assert peak - held < closure_bytes / 2, (peak - held, closure_bytes)
 
 
@@ -143,6 +145,29 @@ def test_census_derives_neither_cover_triples_nor_trees():
     assert not {"covers", "trees", "region", "nu"} & set(vars(lat))
     assert sum(map(len, lat.upper_covers)) == len(lat.covers) == 24
     assert "covers" in vars(lat)
+
+
+def test_lattices_of_one_nu_share_one_skeleton():
+    # every delta of nu orders the same paths; a census reads no down closure
+    def parts(lat):
+        return lat.elements, lat.upper_covers, lat.up, lat.down
+
+    cold = {}
+    for nu, delta in all_instances(6):
+        order._skeleton.cache_clear()
+        lat = build_lattice(delta)
+        assert "down" not in vars(lat)
+        lat.census()
+        assert "down" not in vars(lat)
+        cold[nu, delta.entries] = parts(lat)
+        assert parts(build_lattice(delta)) == cold[nu, delta.entries]
+    bases = list(all_base_paths(6))
+    for a, b in zip(bases, bases[1:]):
+        for nu in (a, b, a):
+            lattices = [build_lattice(delta) for delta in increment_box(nu)]
+            for lat in lattices:
+                assert parts(lat) == cold[nu, lat.delta.entries]
+                assert lat.elements is lattices[0].elements
 
 
 def test_covers_form_the_transitive_reduction():
