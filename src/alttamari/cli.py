@@ -202,8 +202,9 @@ def _cross_check(nu: LatticePath) -> list[str]:
 def _sweep_cost(nu: LatticePath) -> int:
     """Estimated work of ``_cross_check(nu)``: the deltas of its box times N² for N elements.
 
-    The lattice laws and the oracle census each visit the N² pairs of a
-    lattice, and every lattice of the box has the same N elements.
+    The lattice laws visit the N(N - 1)/2 pairs of a lattice once each and
+    the oracle census each comparable pair, so both grow as N²; every
+    lattice of the box has the same N elements.
     """
     return box_size(nu) * oracle.count_paths_above(nu.word) ** 2
 

@@ -8,6 +8,12 @@ each reachability closure is a single sweep over the elements' upper
 cover lists and meet/join reduce to bit tricks on the closure rows.
 Words are spelled out only for export.
 
+The lattice laws are checked by meets alone, with the classic criterion:
+a finite poset with a top in which every two elements have a meet is a
+lattice (Davey and Priestley, *Introduction to Lattices and Order*, 2nd
+ed., ch. 2), since the join of a and b is then the meet of their common
+upper bounds, which the top makes a non-empty set.
+
 Every delta of one nu orders the same elements, so the elements, their ids
 and their valley rows are enumerated once per nu and shared by all of that
 nu's lattices (:func:`_skeleton`); a lattice builds only its upper covers
@@ -197,9 +203,10 @@ class FiniteLattice:
         bounds = down[a] & down[b]
         if not bounds:
             raise LatticeLawError(f"elements {a} and {b} have no common lower bound")
-        # ids are a linear extension, so the meet can only be the largest id
+        # ids are a linear extension, so the meet can only be the largest id;
+        # down[z] is within bounds, so it is the meet when the two are equal
         z = bounds.bit_length() - 1
-        if bounds & ~down[z]:
+        if bounds != down[z]:
             raise LatticeLawError(f"elements {a} and {b} have no meet")
         return z
 
@@ -208,18 +215,37 @@ class FiniteLattice:
         if not bounds:
             raise LatticeLawError(f"elements {a} and {b} have no common upper bound")
         z = (bounds & -bounds).bit_length() - 1
-        if bounds & ~self.up[z]:
+        if bounds != self.up[z]:
             raise LatticeLawError(f"elements {a} and {b} have no join")
         return z
 
     def check_lattice_laws(self) -> int:
-        """Meet and join of every pair; returns the number of pairs checked."""
-        size = len(self.elements)
+        """Raise LatticeLawError unless this is a lattice; returns the number of pairs a < b.
+
+        A finite poset with a top in which every two elements have a meet is
+        a lattice (Davey and Priestley, ch. 2).  So the last id, the only
+        one a top can have in a linear extension, must be above every
+        element, and each pair a < b needs a meet (a meets itself).
+        The common lower bounds ``down[a] & down[b]`` are a down-set, and
+        they have a meet when one of them is above all the others.  Ids are
+        a linear extension, so only the largest id z among them can be; as
+        ``down[z]`` lies within the bounds, z is the meet exactly when the
+        two are equal.  The top is checked on its own because meets alone do
+        not give one: a vee has every meet and no top.  Empty bounds are
+        checked on their own because ``(0).bit_length() - 1`` is -1, which
+        indexes the last row, so the comparison would rest on that wrap.
+        """
+        down = self.down
+        size = len(down)
+        if down[-1] != (1 << size) - 1:
+            raise LatticeLawError(f"element {size - 1} is not above every element: no top")
         for a in range(size):
-            for b in range(a, size):
-                self.meet(a, b)
-                self.join(a, b)
-        return size * (size + 1) // 2
+            row = down[a]
+            for b in range(a + 1, size):
+                bounds = row & down[b]
+                if not bounds or bounds != down[bounds.bit_length() - 1]:
+                    raise LatticeLawError(f"elements {a} and {b} have no meet")
+        return size * (size - 1) // 2
 
     # -- trees and vectors ---------------------------------------------
 

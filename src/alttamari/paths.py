@@ -24,7 +24,8 @@ mu_k + 1.  Since the step moves to a strictly higher row, the rotated
 path lies strictly above the old one and stays weakly above nu.  When
 the excursion ends with row k's last east step, the next excursion
 starts right after it; :func:`excursion_ends` walks this run of
-consecutive excursions once, for the rotation and for the census.
+consecutive excursions for the census, and :func:`delta_rotate` walks only
+to the first end.
 
 An increment vector carries its base path, so delta alone fixes the
 lattice, its region and its ambient base; no function takes nu beside it.
@@ -311,12 +312,32 @@ def excursion_ends(composition: tuple[int, ...], delta: IncrementVector, row: in
 
 
 def delta_rotate(composition: tuple[int, ...], delta: IncrementVector, row: int) -> tuple[int, ...]:
-    """Rotate at the valley ending row ``row``: one east step moves up to the excursion's end."""
-    end = excursion_ends(composition, delta, row)[0]
-    rotated = list(composition)
-    rotated[row] -= 1
-    rotated[end] += 1
-    return tuple(rotated)
+    """Rotate at the valley ending row ``row``: one east step moves up to the excursion's end.
+
+    The end is the first of :func:`excursion_ends`, which lists every end
+    of the run; this walk restates that rule but stops at the first end
+    (elevation at most mu_k) and builds no list of ends, since a lattice
+    makes one rotation per cover.  It raises the same errors.
+    """
+    entries = delta.entries
+    n = len(entries)
+    if len(composition) != n + 1:
+        raise ContractError(
+            f"composition {composition} has {len(composition)} entries, "
+            f"base has {n} north steps"
+        )
+    if not (0 <= row < n and composition[row] > 0):
+        raise ContractError(f"the end of row {row} of {composition} is not a valley")
+    elevation = 0
+    for k in range(row + 1, n + 1):
+        elevation += entries[k - 1]
+        if elevation <= composition[k]:
+            rotated = list(composition)
+            rotated[row] -= 1
+            rotated[k] += 1
+            return tuple(rotated)
+        elevation -= composition[k]
+    raise ContractError(f"elevation never returns to zero after row {row} of {composition}")
 
 
 def ambient_base(delta: IncrementVector) -> LatticePath:

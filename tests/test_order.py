@@ -81,6 +81,38 @@ def test_meet_join_against_oracle_scan():
                 assert lat.join(a, b) == oracle.oracle_join(matrix, a, b)
 
 
+def poset_from_covers(size, covers):
+    """A FiniteLattice over ids 0..size-1 ordered by the given covers, with no delta."""
+    poset = order.FiniteLattice.__new__(order.FiniteLattice)
+    poset.upper_covers = [[high for low, high in covers if low == i] for i in range(size)]
+    assert poset.down == transpose(oracle.closure_from_covers(size, covers))
+    return poset
+
+
+@pytest.mark.parametrize(
+    "size, covers, message",
+    [
+        # every two elements meet, but the two maxima have no join: only the top check sees it
+        (3, [(0, 1), (0, 2)], "element 2 is not above every element: no top"),
+        # 3 and 4 are each above both 1 and 2, so their common lower bounds have two maxima
+        (6, [(0, 1), (0, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 5), (4, 5)],
+         "elements 3 and 4 have no meet"),
+        # two minima under a top: their common lower bounds are empty
+        (3, [(0, 2), (1, 2)], "elements 0 and 1 have no meet"),
+    ],
+)
+def test_lattice_laws_reject_non_lattices(size, covers, message):
+    poset = poset_from_covers(size, covers)
+    with pytest.raises(LatticeLawError, match=message):
+        poset.check_lattice_laws()
+
+
+def test_lattice_laws_accept_a_lattice_rebuilt_from_its_covers():
+    lat = lattice_of("ENEENN", (2, 0, 0))
+    poset = poset_from_covers(len(lat), [(a, b) for a, b, _ in lat.covers])
+    assert poset.check_lattice_laws() == len(lat) * (len(lat) - 1) // 2
+
+
 def assert_closures_match_the_oracle(lat):
     matrix = oracle.closure_from_covers(len(lat), [(a, b) for a, b, _ in lat.covers])
     assert lat.up == matrix

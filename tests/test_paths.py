@@ -19,7 +19,7 @@ from alttamari import (
     valleys,
 )
 from alttamari.oracle import count_paths_above, naive_rotations
-from alttamari.paths import box_size, box_vector, is_weakly_above
+from alttamari.paths import box_size, box_vector, excursion_ends, is_weakly_above
 
 from conftest import all_base_paths
 
@@ -164,6 +164,19 @@ def test_rotation_rejects_compositions_outside_its_domain(eneen):
         delta_rotate((1, 2), d10, 0)
     with pytest.raises(ContractError, match="never returns"):
         delta_rotate((3, 0, 0), d10, 0)  # below nu: the elevation stays positive
+
+
+def test_rotation_stops_at_the_first_excursion_end():
+    # delta_rotate restates the walk of excursion_ends up to its first end
+    for nu in all_base_paths(7):
+        for delta in increment_box(nu):
+            for mu in enumerate_nu_paths(nu):
+                for row in valleys(mu):
+                    end = excursion_ends(mu, delta, row)[0]
+                    expected = list(mu)
+                    expected[row] -= 1
+                    expected[end] += 1
+                    assert delta_rotate(mu, delta, row) == tuple(expected)
 
 
 def test_rotations_raise_area_and_stay_above():
