@@ -4,8 +4,9 @@ Exit codes:
 
 * 0 success;
 * 1 standard output closed early, as by ``| head -1``, with nothing on stderr;
-* 2 usage errors: malformed path or increment literals, missing or
-  conflicting arguments, a ``--max-size`` outside 0..12, a ``--sample`` below 2,
+* 2 usage errors: malformed path or increment literals, missing, unknown
+  or conflicting arguments, an option value that is not an integer or not
+  one of its choices, a ``--max-size`` outside 0..12, a ``--sample`` below 2,
   an ``mtamari-check --m`` or ``--n`` below 1, and a path, given or built
   from ``--m`` and ``--n``, with more steps than ``sys.maxsize`` or too long
   to build in memory;
@@ -396,8 +397,18 @@ def cmd_mtamari_check(args) -> int:
     return INVARIANT_BREACH if failures else 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser that reports a malformed command line as one usage error line.
+
+    ``add_subparsers`` builds the subcommand parsers with this class too.
+    """
+
+    def error(self, message: str):
+        raise _Usage(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="alttamari", description="alt nu-Tamari lattices and their linear intervals"
     )
     sub = parser.add_subparsers(dest="command", required=True)
@@ -457,9 +468,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         code = args.func(args)
         sys.stdout.flush()
         return code

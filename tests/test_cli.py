@@ -692,6 +692,29 @@ def test_entries_take_ascii_digits_only(capsys, argv, message):
     assert err == f"usage error: {message}\n"
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["census", "--nu", "NE"], "the following arguments are required: --delta"),
+        (["verify", "--max-size", "x"], "argument --max-size: invalid int value: 'x'"),
+        (
+            ["census", "--nu", "NE", "--delta", "1", "--format", "dot"],
+            "argument --format: invalid choice: 'dot' (choose from 'json', 'text')",
+        ),
+    ],
+    ids=["missing", "not_an_int", "bad_choice"],
+)
+def test_a_malformed_command_line_is_a_one_line_usage_error(capsys, argv, message):
+    assert run(capsys, *argv) == (2, "", f"usage error: {message}\n")
+
+
+def test_help_still_prints_and_exits_0(capsys):
+    with pytest.raises(SystemExit) as stop:
+        main(["census", "--help"])
+    assert stop.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: alttamari census ")
+
+
 def test_flush_refuses_a_tree_file_with_a_non_ascii_nu(tmp_path, capsys):
     tree_file = tmp_path / "tree.json"
     tree_file.write_text(json.dumps({"nu": "\u00b2", "delta": [], "nodes": []}))
@@ -739,7 +762,8 @@ def run_capped(limit: int, *args: str) -> tuple[int, str, str]:
 
 
 MB = 1 << 20
-NE2_8 = "NEE" * 8  # 43,263 paths: a census builds their up closure alone, ~240 MB
+NE2_8 = "NEE" * 8  # 43,263 paths: a census builds their down closure, ~120 MB
+NE2_9 = "NEE" * 9  # 246,675 paths: their skeleton and covers alone pass 256 MB
 
 
 @pytest.mark.parametrize(
@@ -763,7 +787,7 @@ def test_a_base_too_long_for_memory_is_a_usage_error():
 
 
 def test_running_out_of_memory_is_a_validation_error():
-    argv = ("census", "--nu", NE2_8, "--delta", ",".join("0" * 8))
+    argv = ("lattice", "--nu", NE2_9, "--delta", ",".join("0" * 9), "--format", "json")
     assert run_capped(256 * MB, *argv) == (3, "", "validation error: out of memory\n")
 
 

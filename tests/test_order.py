@@ -85,6 +85,7 @@ def poset_from_covers(size, covers):
     """A FiniteLattice over ids 0..size-1 ordered by the given covers, with no delta."""
     poset = order.FiniteLattice.__new__(order.FiniteLattice)
     poset.upper_covers = [[high for low, high in covers if low == i] for i in range(size)]
+    poset.down = order.down_closure(poset.upper_covers)
     assert poset.down == transpose(oracle.closure_from_covers(size, covers))
     return poset
 
@@ -115,7 +116,6 @@ def test_lattice_laws_accept_a_lattice_rebuilt_from_its_covers():
 
 def assert_closures_match_the_oracle(lat):
     matrix = oracle.closure_from_covers(len(lat), [(a, b) for a, b, _ in lat.covers])
-    assert lat.up == matrix
     assert lat.down == transpose(matrix)
 
 
@@ -125,7 +125,7 @@ def test_closures_match_the_oracle():
 
 
 def test_closure_build_leaves_little_transient_memory():
-    # (NE)^9 with maximal delta: 4,862 elements.  Building the closures
+    # (NE)^9 with maximal delta: 4,862 elements.  Building the closure
     # from cover lists allocates little beyond the rows it keeps.
     delta = IncrementVector.maximal(LatticePath("NE" * 9))
     order._skeleton.cache_clear()
@@ -133,12 +133,11 @@ def test_closure_build_leaves_little_transient_memory():
     tracemalloc.start()
     try:
         lat = build_lattice(delta)
-        down = lat.down
         held, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert len(lat) == 4862
-    closure_bytes = sum(map(sys.getsizeof, lat.up + down))
+    closure_bytes = sum(map(sys.getsizeof, lat.down))
     assert peak - held < closure_bytes / 2, (peak - held, closure_bytes)
 
 
@@ -180,17 +179,15 @@ def test_census_derives_neither_cover_triples_nor_trees():
 
 
 def test_lattices_of_one_nu_share_one_skeleton():
-    # every delta of nu orders the same paths; a census reads no down closure
+    # every delta of nu orders the same paths; a lattice keeps one closure
     def parts(lat):
-        return lat.elements, lat.upper_covers, lat.up, lat.down
+        return lat.elements, lat.upper_covers, lat.down
 
     cold = {}
     for nu, delta in all_instances(6):
         order._skeleton.cache_clear()
         lat = build_lattice(delta)
-        assert "down" not in vars(lat)
-        lat.census()
-        assert "down" not in vars(lat)
+        assert not hasattr(lat, "up")
         cold[nu, delta.entries] = parts(lat)
         assert parts(build_lattice(delta)) == cold[nu, delta.entries]
     bases = list(all_base_paths(6))

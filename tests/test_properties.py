@@ -1,11 +1,14 @@
 """Property tests on random base paths past the exhaustive m + n <= 7 sweeps."""
 
+import random
 from collections import Counter
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from alttamari import (
+    ContractError,
     IncrementVector,
     LatticePath,
     build_lattice,
@@ -36,6 +39,9 @@ from alttamari.oracle import (
     count_paths_above,
     dyck_marked_counts,
     naive_rotations,
+    oracle_is_linear,
+    oracle_join,
+    oracle_meet,
 )
 
 from conftest import transpose
@@ -46,6 +52,7 @@ MAX_SIZE = 14
 MAX_LATTICE_ELEMENTS = 200
 MAX_CENSUS_ELEMENTS = 500
 MAX_ROTATED_PATHS = 500
+SAMPLED_PAIRS = 20
 
 
 @st.composite
@@ -122,12 +129,25 @@ def test_witnesses_agree_with_classify(data):
 
 
 @settings(max_examples=40)
-@given(instances(MAX_CENSUS_ELEMENTS))
-def test_closures_match_the_oracle_closure(instance):
+@given(instances(MAX_CENSUS_ELEMENTS), st.integers(0, 2**32 - 1))
+def test_closures_match_the_oracle_closure(instance, seed):
+    # the queries read the closure past the exhaustive sizes, on seeded sample pairs
     lattice = build_lattice(instance[1])
-    matrix = closure_from_covers(len(lattice), [(low, high) for low, high, _ in lattice.covers])
-    assert lattice.up == matrix
+    size = len(lattice)
+    matrix = closure_from_covers(size, [(low, high) for low, high, _ in lattice.covers])
     assert lattice.down == transpose(matrix)
+    rng = random.Random(seed)
+    for _ in range(SAMPLED_PAIRS):
+        a, b = rng.randrange(size), rng.randrange(size)
+        assert lattice.leq(a, b) == bool(matrix[a] >> b & 1)
+        assert lattice.meet(a, b) == oracle_meet(matrix, a, b)
+        assert lattice.join(a, b) == oracle_join(matrix, a, b)
+        if not lattice.leq(a, b):
+            with pytest.raises(ContractError):
+                lattice.is_linear(a, b)
+        above = [z for z in range(size) if matrix[a] >> z & 1]
+        top = rng.choice(above)
+        assert lattice.is_linear(a, top) == oracle_is_linear(matrix, a, top)
 
 
 @settings(max_examples=40)
