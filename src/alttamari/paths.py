@@ -21,9 +21,12 @@ On compositions a rotation moves one east step.  A valley ending row j
 the excursion ends on the first row k > j whose delta_k brings the
 running elevation to at most mu_k, and the rotated path has mu_j - 1 and
 mu_k + 1.  Since the step moves to a strictly higher row, the rotated
-path lies strictly above the old one and stays weakly above nu.  When
-the excursion ends with row k's last east step, the next excursion
-starts right after it; :func:`excursion_ends` walks this run of
+path lies strictly above the old one and stays weakly above nu.  A walk
+that reaches row n ends there, whatever delta_n is, because for mu weakly
+above nu, sum_{i>j} delta_i <= sum_{i>j} nu_i <= sum_{i>j} mu_i; so
+delta_n changes no rotation, and deltas that differ only there give one
+lattice.  When the excursion ends with row k's last east step, the next
+excursion starts right after it; :func:`excursion_ends` walks this run of
 consecutive excursions for the census, and :func:`delta_rotate` walks only
 to the first end.
 

@@ -383,25 +383,48 @@ def test_verify_sweep_builds_each_lattice_once(capsys, monkeypatch, tmp_path):
 
 
 def test_verify_sweep_cross_checks_every_base_word(capsys, monkeypatch, tmp_path):
-    # the empty word and E, EE, EEE get the lattice laws and the oracle too
+    # the empty word and E, EE, EEE get the lattice laws and the oracle too, once
+    # for each distinct order among the deltas of the word: 15 orders of 21 deltas
+    import alttamari.cli
     from alttamari import oracle
+    from alttamari.order import FiniteLattice, build_lattice
     from alttamari.paths import all_base_paths, increment_box
 
-    log = tmp_path / "closures"
+    expected = Counter()
+    for nu in all_base_paths(3):
+        orders = {tuple(map(tuple, build_lattice(d).upper_covers)) for d in increment_box(nu)}
+        expected.update({("laws", nu.word): len(orders), ("oracle", nu.word): len(orders)})
+    log = tmp_path / "checks"
+    build, check_lattice_laws = alttamari.cli.build_lattice, FiniteLattice.check_lattice_laws
     closure_from_covers = oracle.closure_from_covers
 
-    def counting(size, covers):
-        logged(log, str(size))
+    def building(delta):
+        logged(log, f"{os.getpid()} built {delta.nu.word}")
+        return build(delta)
+
+    def laws(lattice):
+        logged(log, f"{os.getpid()} laws")
+        return check_lattice_laws(lattice)
+
+    def closure(size, covers):
+        logged(log, f"{os.getpid()} oracle")
         return closure_from_covers(size, covers)
 
-    monkeypatch.setattr(oracle, "closure_from_covers", counting)
+    monkeypatch.setattr(alttamari.cli, "build_lattice", building)
+    monkeypatch.setattr(FiniteLattice, "check_lattice_laws", laws)
+    monkeypatch.setattr(oracle, "closure_from_covers", closure)
     for cores in (1, 2):
         use_cores(monkeypatch, cores)
         log.write_text("")
         code, _, _ = sweep(capsys, "--max-size", "3", "--sample", "2")
         assert code == 0
-        closures = log.read_text().splitlines()
-        assert len(closures) == sum(len(list(increment_box(nu))) for nu in all_base_paths(3))
+        word, checks = {}, Counter()  # a check belongs to the last lattice its process built
+        for pid, kind, *built in (line.split(" ") for line in log.read_text().splitlines()):
+            if kind == "built":
+                word[pid] = built[0]
+            else:
+                checks[kind, word[pid]] += 1
+        assert checks == expected
 
 
 @pytest.mark.parametrize(
@@ -481,6 +504,23 @@ def test_verify_sweep_reports_oracle_mismatches_in_sweep_order(capsys, monkeypat
 
     monkeypatch.setattr(oracle, "oracle_census", wrong_once)
     assert sweep(capsys, "--max-size", "2") == (4, expected, "  oracle mismatch at delta=(0,)\n")
+
+
+def test_verify_sweep_reports_a_failing_order_at_each_of_its_deltas(capsys, monkeypatch, workers):
+    # EN, ENE and NEN have 2-element lattices; ENE and NEN each have two deltas with one order
+    from alttamari import oracle
+
+    _, expected, _ = sweep(capsys, "--max-size", "3")
+    oracle_census = oracle.oracle_census
+
+    def wrong_on_two_elements(matrix):
+        census = oracle_census(matrix)
+        return census + (1,) if len(matrix) == 2 else census
+
+    monkeypatch.setattr(oracle, "oracle_census", wrong_on_two_elements)
+    deltas = [(0,), (0,), (1,), (0, 0), (1, 0)]
+    err = "".join(f"  oracle mismatch at delta={entries}\n" for entries in deltas)
+    assert sweep(capsys, "--max-size", "3") == (4, expected, err)
 
 
 def test_verify_sweep_stops_at_a_late_lattice_law_breach(capsys, monkeypatch, workers):

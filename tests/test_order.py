@@ -170,6 +170,17 @@ def test_covers_match_naive_rotations():
         assert lat.covers == tuple(expected), (nu.word, delta.entries)
 
 
+def test_the_last_increment_changes_no_cover():
+    # a walk that reaches row n ends there, whatever delta_n is
+    checked = 0
+    for nu, delta in all_instances(7):
+        if nu.n and delta.entries[-1]:
+            covers = build_lattice(IncrementVector(delta.entries[:-1] + (0,), nu)).upper_covers
+            assert build_lattice(delta).upper_covers == covers, (nu.word, delta.entries)
+            checked += 1
+    assert checked == 370
+
+
 def test_census_derives_neither_cover_triples_nor_trees():
     lat = lattice_of("ENEENN", (1, 0, 0))
     assert lat.census().totals == (16, 24, 16, 3)

@@ -48,7 +48,7 @@ from conftest import transpose
 
 MAX_SIZE = 14
 # Lattices built per example stay this small; the unbuilt properties use
-# every base path up to MAX_SIZE, whose lattices reach C(14, 7) = 3,432.
+# every base path of 8 to MAX_SIZE steps, whose lattices reach C(14, 7) = 3,432.
 MAX_LATTICE_ELEMENTS = 200
 MAX_CENSUS_ELEMENTS = 500
 MAX_ROTATED_PATHS = 500
@@ -57,7 +57,10 @@ SAMPLED_PAIRS = 20
 
 @st.composite
 def instances(draw, max_elements=None):
-    words = st.text(alphabet="NE", max_size=MAX_SIZE)
+    # past the exhaustive m + n <= 7 sweeps; the length is drawn first, so
+    # long words come up as often as short ones
+    size = draw(st.integers(8, MAX_SIZE))
+    words = st.text(alphabet="NE", min_size=size, max_size=size)
     if max_elements is not None:
         words = words.filter(lambda word: count_paths_above(word) <= max_elements)
     nu = LatticePath(draw(words))
