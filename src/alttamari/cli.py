@@ -217,10 +217,11 @@ def _sweep_cost(nu: LatticePath) -> int:
     """Estimated work of ``_cross_check(nu)``: the deltas of its box times N² for N elements.
 
     The lattice laws visit the N(N - 1)/2 pairs of a lattice once each and
-    the oracle census each comparable pair, so both grow as N²; every
-    lattice of the box has the same N elements.  Deltas that repeat an
-    order skip both, so this is an upper bound; measured serially at
-    sizes 7 and 9, the children's loads under it still come out even.
+    the oracle census scans the comparable pairs, so both grow as N²; the
+    oracle closure is O(N + E) row ORs for E covers.  Every lattice of the
+    box has the same N elements.  Deltas that repeat an order skip the laws
+    and the oracle, so this is an upper bound; measured serially at sizes 7
+    and 9, the children's loads under it still come out even.
     """
     return box_size(nu) * oracle.count_paths_above(nu.word) ** 2
 

@@ -3,10 +3,11 @@
 Everything here works on raw step words and dense relation matrices, and
 deliberately shares no code with the tree and vector machinery it
 validates: rotations are recomputed from scratch off an altitude profile,
-path sets are enumerated by a plain recursion, reachability is a Warshall
-sweep, and censuses come from scanning every comparable pair for the
-chain property, reading each interval off the matrix rows and the column
-masks.
+path sets are enumerated by a plain recursion, reachability is built in
+a topological order found from the covers alone, and censuses come from
+testing comparable pairs for the chain property, reading each interval
+off the matrix rows and the column masks; a failed pair [b, t] rules out
+every [b, t'] with t <= t'.
 """
 
 from __future__ import annotations
@@ -104,24 +105,49 @@ def naive_rotations(word: str, increments: tuple[int, ...]) -> list[tuple[int, s
 
 
 def closure_from_covers(size: int, covers: list[tuple[int, int]]) -> list[int]:
-    """Reflexive-transitive closure as bitset rows, Warshall style."""
-    matrix = [1 << i for i in range(size)]
+    """Reflexive-transitive closure as bitset rows, built in topological order.
+
+    Kahn's sort orders the elements from the covers alone, with self-loops
+    ignored and a repeated cover counted each time; it never assumes that
+    the ids are a linear extension. Each row is then its own bit or the
+    rows of its upper covers, taken top down, so the work is O(N + E) row
+    ORs. Elements the sort cannot place lie on a cycle or above one, and
+    only paths among them can close a cycle: the first mutual pair in
+    row-major order of their reachability is named.
+    """
+    uppers: list[list[int]] = [[] for _ in range(size)]
+    indegree = [0] * size
     for low, high in covers:
-        matrix[low] |= 1 << high
-    for k in range(size):
-        row_k = matrix[k]
-        bit_k = 1 << k
-        for i in range(size):
-            if matrix[i] & bit_k:
-                matrix[i] |= row_k
-    for i in range(size):
-        above = matrix[i] & ~(1 << i)
-        while above:
-            bit_j = above & -above
-            j = bit_j.bit_length() - 1
-            if matrix[j] >> i & 1:
-                raise ValueError(f"cycle through elements {i} and {j}")
-            above ^= bit_j
+        if low != high:
+            uppers[low].append(high)
+            indegree[high] += 1
+    order = [i for i in range(size) if not indegree[i]]
+    for low in order:  # grows as it is read: an element joins when its last lower cover is out
+        for high in uppers[low]:
+            indegree[high] -= 1
+            if not indegree[high]:
+                order.append(high)
+    stuck = [i for i in range(size) if indegree[i]]
+    if stuck:
+        reach = {}
+        for i in stuck:
+            seen, stack = 1 << i, [i]
+            while stack:
+                for high in uppers[stack.pop()]:
+                    if not seen >> high & 1:
+                        seen |= 1 << high
+                        stack.append(high)
+            reach[i] = seen
+        for i in stuck:
+            for j in stuck:
+                if j != i and reach[i] >> j & 1 and reach[j] >> i & 1:
+                    raise ValueError(f"cycle through elements {i} and {j}")
+    matrix = [0] * size
+    for low in reversed(order):
+        row = 1 << low
+        for high in uppers[low]:
+            row |= matrix[high]
+        matrix[low] = row
     return matrix
 
 
@@ -141,13 +167,15 @@ def oracle_is_linear(matrix: list[int], bottom: int, top: int) -> tuple[bool, in
 
 
 def oracle_census(matrix: list[int]) -> tuple[int, ...]:
-    """Linear interval counts by length, scanning all comparable pairs.
+    """Linear interval counts by length, scanning the comparable pairs.
 
     The column masks `below[j]` (the bits i with i <= j) are built once.
     The members of [b, t] are then `matrix[b] & below[t]`, and the interval
     is a chain when each member's comparability mask `matrix[z] | below[z]`
-    holds all of them. The cost is O(N² + Σ k) bit operations, where k is
-    the size of each comparable interval.
+    holds all of them. When [b, t] is not a chain, the tops above t are
+    dropped from b's scan: their intervals contain [b, t] and its
+    incomparable pair. The cost is O(N² + Σ k) bit operations, where k is
+    the size of each interval tested.
     """
     below = [0] * len(matrix)
     for low, row in enumerate(matrix):
@@ -163,11 +191,13 @@ def oracle_census(matrix: list[int]) -> tuple[int, ...]:
         while tops:
             bit_top = tops & -tops
             tops ^= bit_top
-            members = row & below[bit_top.bit_length() - 1]
+            top = bit_top.bit_length() - 1
+            members = row & below[top]
             rest = members
             while rest:
                 bit_z = rest & -rest
                 if comparable[bit_z.bit_length() - 1] & members != members:
+                    tops &= ~matrix[top]  # [b, t'] for t <= t' holds [b, t], so it fails too
                     break
                 rest ^= bit_z
             else:

@@ -31,6 +31,58 @@ def test_closure_identity_and_chain():
     # row-major order; row 0 and bit 2 of row 1 come first but are not mutual
     with pytest.raises(ValueError, match=r"^cycle through elements 1 and 3$"):
         oracle.closure_from_covers(5, [(0, 1), (1, 2), (1, 3), (3, 4), (4, 1)])
+    # a self-loop is no in-edge, so it closes no cycle
+    assert oracle.closure_from_covers(2, [(0, 0)]) == [1, 2]
+
+
+def reachability(size: int, covers: list[tuple[int, int]]) -> list[int]:
+    """Bit j of row i set when j is reached from i along the covers, by a plain DFS."""
+    uppers: list[list[int]] = [[] for _ in range(size)]
+    for low, high in covers:
+        uppers[low].append(high)
+    rows = []
+    for start in range(size):
+        seen, stack = {start}, [start]
+        while stack:
+            for high in uppers[stack.pop()]:
+                if high not in seen:
+                    seen.add(high)
+                    stack.append(high)
+        rows.append(sum(1 << j for j in seen))
+    return rows
+
+
+@st.composite
+def digraphs(draw):
+    """Cover lists with any labels, repeated covers and self-loops; about half have no cycle."""
+    size = draw(st.integers(0, 12))
+    element = st.integers(0, max(size - 1, 0))
+    covers = draw(st.lists(st.tuples(element, element), max_size=3 * size))
+    if draw(st.booleans()):
+        rank = draw(st.permutations(range(size)))
+        covers = [(low, high) for low, high in covers if rank[low] <= rank[high]]
+    return size, covers
+
+
+@given(digraphs())
+@example((2, [(0, 0)]))
+@example((3, [(2, 1), (2, 1), (1, 0), (0, 0)]))
+@example((4, [(3, 2), (2, 3), (1, 0), (0, 1)]))
+def test_closure_is_reachability_and_names_the_first_mutual_pair(digraph):
+    size, covers = digraph
+    reach = reachability(size, covers)
+    mutual = [
+        (i, j)
+        for i in range(size)
+        for j in range(size)
+        if i != j and reach[i] >> j & 1 and reach[j] >> i & 1
+    ]
+    if mutual:
+        i, j = mutual[0]
+        with pytest.raises(ValueError, match=rf"^cycle through elements {i} and {j}$"):
+            oracle.closure_from_covers(size, covers)
+    else:
+        assert oracle.closure_from_covers(size, covers) == reach
 
 
 def test_linear_and_census_on_chain_and_diamond():
@@ -67,12 +119,18 @@ def posets(draw):
 ANTICHAIN = (4, [])
 VEE = (3, [(0, 1), (0, 2)])
 CROWN = (6, [(0, 4), (0, 5), (1, 3), (1, 5), (2, 3), (2, 4)])
+# the diamond's top fails, and the tail's top above it is skipped
+TAILED_DIAMOND = (5, [(0, 1), (0, 2), (1, 3), (2, 3), (3, 4)])
+# the same poset with the bottom relabelled 2, so the ids are no linear extension
+TAILED_DIAMOND_RELABELLED = (5, [(2, 0), (2, 1), (0, 3), (1, 3), (3, 4)])
 
 
 @given(posets())
 @example(ANTICHAIN)
 @example(VEE)
 @example(CROWN)
+@example(TAILED_DIAMOND)
+@example(TAILED_DIAMOND_RELABELLED)
 def test_census_scan_matches_the_definition_on_posets(poset):
     matrix = oracle.closure_from_covers(*poset)
     assert oracle.oracle_census(matrix) == census_by_definition(matrix)
