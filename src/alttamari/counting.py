@@ -29,10 +29,20 @@ walk that never finishes drops out, and the length-1 check below, which
 requires as many right entries as valleys, turns it into a
 :class:`LatticeLawError`.
 
+One row of this walk is :func:`_right_row`: it takes the walks and the
+right entries found before row k and returns new ones after it, the
+valleys ending row k started, and changes neither input.  The histogram
+of one delta is its fold over rows 1..n.  The state before row k depends
+on delta_1..delta_{k-1} alone, so :func:`right_histograms` walks a run of
+deltas keeping the state after each row of the last one, and recounts a
+delta only from the first entry where it differs: in box order, where the
+last entries change fastest, most deltas recount a row or two.
+
 By the theorem every delta of nu has the census of delta = 0, where a
 right entry is the run of north steps after its valley: the entries >= k
 are the factors E N^k, a valley at x ending row y and then k - 1 rows
-without east steps.  :func:`census_by_paths` reads them off the tables.
+without east steps.  :func:`delta_free_histogram` reads them off the
+tables, and :func:`census_by_paths` is its census.
 """
 
 from __future__ import annotations
@@ -41,10 +51,10 @@ from collections import Counter, defaultdict
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate, chain
-from operator import mul, sub
-from typing import NamedTuple, Sequence
+from operator import add, mul, sub
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
-from .paths import IncrementVector, LatticePath, excursion_ends, valleys
+from .paths import ContractError, IncrementVector, LatticePath, excursion_ends, valleys
 
 
 class LatticeLawError(AssertionError):
@@ -80,17 +90,19 @@ def _trim(counts: list[int]) -> tuple[int, ...]:
     return tuple(counts)
 
 
-def _count_at_least(histogram: Counter, longest: int) -> list[int]:
+def _count_at_least(histogram: Mapping[int, int], longest: int) -> list[int]:
     """Entry k - 1 is the number of histogram entries >= k, for k = 1..longest."""
     counts = [0] * longest
     running = 0
     for k in range(longest, 0, -1):
-        running += histogram[k]
+        running += histogram.get(k, 0)
         counts[k - 1] = running
     return counts
 
 
-def census_from_histograms(size: int, lefts: Counter, rights: Counter) -> Census:
+def census_from_histograms(
+    size: int, lefts: Mapping[int, int], rights: Mapping[int, int]
+) -> Census:
     """Linear interval counts of a poset of ``size`` elements from its entry histograms.
 
     ``lefts[l]`` left entries l stand for that many left intervals of each
@@ -149,58 +161,101 @@ def _rows(nu: LatticePath) -> _Rows:
     return _Rows(reach, tuple(valleys), tuple(completions), +lefts)
 
 
-def _right_histogram(rows: _Rows, entries: tuple[int, ...]) -> Counter:
-    """How many valleys of the paths are followed by each number of consecutive excursions.
+def _right_row(
+    rows: _Rows, k: int, d: int, walks: dict, rights: Sequence[int]
+) -> tuple[dict, list[int]]:
+    """Row k of the right walk with delta_k = d: the walks and rights after it.
 
-    A walk with x east steps so far and elevation e closes its excursion
-    at reach x + e.  So the walks are grouped by (x + e, excursions so
-    far), each group holding its weights by x.  Whether a walk finishes or
-    closes on row k depends on its group alone, and a walk that goes on
-    moves to one of x..x + e - 1 in its group, which one prefix sum over x
-    counts for the whole group.
+    ``rights[r]`` counts the right entries r found so far.  A walk with x
+    east steps so far and elevation e closes its excursion at reach x + e.
+    So the walks are grouped by (x + e, excursions so far), each group
+    holding its weights by x.  Whether a walk finishes or closes on row k
+    depends on its group alone, and a walk that goes on moves to one of
+    x..x + e - 1 in its group, which one prefix sum over x counts for the
+    whole group.  The inputs are left as they are; the walks returned hold
+    the valleys ending row k, which start walks on row k + 1.
     """
-    reach, completions = rows.reach, rows.completions
-    n = len(entries)
+    reach, ahead = rows.reach, rows.completions[k]
+    n, bound = len(reach) - 1, reach[k]
     width = reach[n] + 1
-    rights: Counter = Counter()
-    walks: defaultdict = defaultdict(lambda: [0] * width)
-    for k in range(1, n + 1):
-        for x, weight in rows.valleys[k - 1]:
-            walks[x, 0][x] += weight
-        bound, ahead = reach[k], completions[k]
-        going: defaultdict = defaultdict(lambda: [0] * width)
-        for (close, run), weights in walks.items():
-            close += entries[k - 1]
-            if close <= bound:
-                total = sum(weights)
-                if k == n:
-                    rights[run + 1] += total
-                    continue
-                going[close, run + 1][close] += total  # mu_k == e: the next excursion starts
-                if close < bound:
-                    rights[run + 1] += total * ahead[close + 1]  # mu_k > e: finished
-            if close and k < n:  # mu_k < e: the excursion goes on
-                carried = going[close, run]
-                for x, weight in enumerate(accumulate(weights[: min(close, bound + 1)])):
-                    carried[x] += weight
-        walks = going
-    return rights
+    rights = list(rights)
+    going: defaultdict = defaultdict(lambda: [0] * width)
+    for (close, run), weights in walks.items():
+        close += d
+        if close <= bound:
+            total = sum(weights)
+            if k == n:
+                rights[run + 1] += total
+                continue
+            going[close, run + 1][close] += total  # mu_k == e: the next excursion starts
+            if close < bound:
+                rights[run + 1] += total * ahead[close + 1]  # mu_k > e: finished
+        if close and k < n:  # mu_k < e: the excursion goes on
+            carried, end = going[close, run], min(close, bound + 1)
+            carried[:end] = map(add, carried, accumulate(weights[:end]))
+    for x, weight in rows.valleys[k] if k < n else ():
+        going[x, 0][x] += weight
+    return going, rights
+
+
+def _right_histogram(rows: _Rows, entries: tuple[int, ...]) -> tuple[int, ...]:
+    """How many valleys of the paths are followed by each number r of consecutive excursions.
+
+    Entry r of the tuple, trailing zeros trimmed, counts the right entries
+    r: the fold of :func:`_right_row` over rows 1..n, started on row 0 with
+    no walk.
+    """
+    state = _right_row(rows, 0, 0, {}, (0,) * (len(entries) + 1))
+    for k, d in enumerate(entries, start=1):
+        state = _right_row(rows, k, d, *state)
+    return _trim(list(state[1]))
+
+
+def right_histograms(
+    nu: LatticePath, deltas: Iterable[IncrementVector]
+) -> Iterator[tuple[IncrementVector, tuple[int, ...]]]:
+    """Each increment vector of nu with its ``_right_histogram``, sharing rows across them.
+
+    The state after each row of the last delta is kept, and the next delta
+    is walked from the first entry where the two differ; ``ContractError``
+    for a delta over another base.
+    """
+    rows, n = _rows(nu), nu.n
+    states = [_right_row(rows, 0, 0, {}, (0,) * (n + 1))]
+    last: tuple[int, ...] = ()
+    for delta in deltas:
+        if delta.nu != nu:
+            raise ContractError(f"increment vector over {delta.nu.word!r}, not {nu.word!r}")
+        entries = delta.entries
+        same = next((i for i, (a, b) in enumerate(zip(entries, last)) if a != b), len(last))
+        del states[same + 1 :]
+        for k in range(same + 1, n + 1):
+            states.append(_right_row(rows, k, entries[k - 1], *states[-1]))
+        last = entries
+        yield delta, _trim(list(states[n][1]))
 
 
 def census_for(delta: IncrementVector) -> Census:
     """The census of the alt nu-Tamari lattice of delta, counted without listing its paths."""
     rows = _rows(delta.nu)
     rights = _right_histogram(rows, delta.entries)
-    return census_from_histograms(rows.completions[0][0], rows.lefts, rights)
+    return census_from_histograms(rows.completions[0][0], rows.lefts, dict(enumerate(rights)))
 
 
 @lru_cache(maxsize=16)
-def census_by_paths(nu: LatticePath) -> Census:
-    """The census every delta of nu must have, that of delta = 0, counted without delta."""
+def delta_free_histogram(nu: LatticePath) -> tuple[int, ...]:
+    """The right histogram every delta of nu must have, that of delta = 0, counted without delta."""
     rows, n = _rows(nu), nu.n
     at_least = [
         sum(w * rows.completions[y + k][x] for y in range(n - k + 1) for x, w in rows.valleys[y])
         for k in range(1, n + 2)
     ]
-    rights = Counter({k: at_least[k - 1] - at_least[k] for k in range(1, n + 1)})
-    return census_from_histograms(rows.completions[0][0], rows.lefts, +rights)
+    return _trim([0] + [at_least[k - 1] - at_least[k] for k in range(1, n + 1)])
+
+
+@lru_cache(maxsize=16)
+def census_by_paths(nu: LatticePath) -> Census:
+    """The census every delta of nu must have: that of :func:`delta_free_histogram`."""
+    rows = _rows(nu)
+    rights = dict(enumerate(delta_free_histogram(nu)))
+    return census_from_histograms(rows.completions[0][0], rows.lefts, rights)

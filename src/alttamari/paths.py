@@ -243,7 +243,8 @@ def box_vector(nu: LatticePath, index: int) -> IncrementVector:
 
 def increment_box(nu: LatticePath) -> Iterator[IncrementVector]:
     """All increment vectors for nu, i.e. the box prod_i {0..nu_i}, in ``box_vector`` order."""
-    return (box_vector(nu, index) for index in range(box_size(nu)))
+    ranges = (range(c + 1) for c in nu.composition[1:])
+    return (IncrementVector(entries, nu) for entries in itertools.product(*ranges))
 
 
 def valleys(composition: tuple[int, ...]) -> list[int]:

@@ -6,11 +6,12 @@ the reduced column vector instead.  Left intervals ride along horizontal
 flushing row by row, right intervals along vertical flushing column by
 column, which is why every alt nu-Tamari lattice over a fixed nu has the
 same number of linear intervals of each length.  ``verify_theorem`` checks
-that statement head-on: it counts the census of every lattice in the
-increment box row by row, listing no path, and compares each with the
-delta-free ``census_by_paths``.  ``restricted_census`` counts the linear
-intervals of a full rotation lattice restricted to the nu-paths path by
-path, without building that lattice.
+that statement head-on: it counts the right entries of every lattice in
+the increment box row by row, listing no path and sharing the rows before
+the first entry where a delta differs from the one before it, and holds
+each to the delta-free ones of ``census_by_paths``.  ``restricted_census``
+counts the linear intervals of a full rotation lattice restricted to the
+nu-paths path by path, without building that lattice.
 """
 
 from __future__ import annotations
@@ -19,7 +20,14 @@ import random
 from dataclasses import dataclass
 from math import comb
 
-from .counting import Census, census_by_paths, census_for, path_census
+from .counting import (
+    Census,
+    census_by_paths,
+    census_for,
+    delta_free_histogram,
+    path_census,
+    right_histograms,
+)
 from .order import (
     apply_horizontal,
     apply_vertical,
@@ -37,6 +45,7 @@ from .paths import (
     box_vector,
     delta_rotate,
     enumerate_nu_paths,
+    increment_box,
     is_weakly_above,
     valleys,
 )
@@ -129,27 +138,30 @@ def verify_theorem(nu: LatticePath, sample: int | None = None, seed: int = 0) ->
     With ``sample`` set (at least 2, else ``ContractError``), at most that
     many increment vectors are drawn (seeded, always keeping the all-zero
     and maximal ones) without listing the box; otherwise the full box is
-    swept.  Each census is counted row by row by ``census_for``, listing
-    no path; the report carries the delta-free one they must all equal.
+    swept.  Either way the deltas go through ``right_histograms`` in box
+    order, so each counts its right entries row by row from the first
+    entry where it differs from the last delta, listing no path.  Each
+    histogram is held to the delta-free one, and a ``Census`` is built, by
+    ``census_for``, only for a delta that differs, for its mismatch line;
+    the report carries the delta-free census they must all equal.
     """
     if sample is not None and sample < 2:
         raise ContractError(f"sample must be >= 2, got {sample}")
     size = box_size(nu)
-    indices = range(size)
+    deltas = increment_box(nu)
     if sample is not None and size > sample:
         rng = random.Random(seed)
         keep = {0, size - 1}
         while len(keep) < sample:
             keep.add(rng.randrange(size))
-        indices = sorted(keep)
-    reference = census_by_paths(nu)
-    mismatches = []
-    for index in indices:
-        delta = box_vector(nu, index)
-        census = census_for(delta)
-        if census != reference:
-            mismatches.append(f"delta={delta.entries}: {census} != {reference}")
-    return TheoremReport(nu, len(indices), reference, tuple(mismatches))
+        deltas = (box_vector(nu, index) for index in sorted(keep))
+    reference, expected = census_by_paths(nu), delta_free_histogram(nu)
+    checked, mismatches = 0, []
+    for delta, rights in right_histograms(nu, deltas):
+        checked += 1
+        if rights != expected:
+            mismatches.append(f"delta={delta.entries}: {census_for(delta)} != {reference}")
+    return TheoremReport(nu, checked, reference, tuple(mismatches))
 
 
 @dataclass(frozen=True)

@@ -4,11 +4,20 @@ oracle's word rewrites, the closed right-interval formula and each other past en
 import random
 from itertools import product
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from alttamari import IncrementVector, LatticePath, enumerate_nu_paths, increment_box
-from alttamari.counting import census_by_paths, census_for, path_census
+from alttamari import ContractError, IncrementVector, LatticePath, enumerate_nu_paths, increment_box
+from alttamari.counting import (
+    _right_histogram,
+    _rows,
+    census_by_paths,
+    census_for,
+    delta_free_histogram,
+    path_census,
+    right_histograms,
+)
 from alttamari.oracle import (
     count_paths_above,
     enumerate_words_above,
@@ -32,6 +41,26 @@ def test_census_for_matches_path_census_for_every_pair_up_to_size_8():
             assert census == path_census(paths, delta) == reference, (nu.word, delta.entries)
             pairs += 1
     assert pairs == 2584
+
+
+def test_right_histograms_match_the_per_delta_walk_up_to_size_8():
+    # the whole box in box order, then sorted seeded samples, which share fewer rows
+    rng = random.Random(2305)
+    for nu in all_base_paths(8):
+        rows, box = _rows(nu), list(increment_box(nu))
+        walked = [(delta, _right_histogram(rows, delta.entries)) for delta in box]
+        assert list(right_histograms(nu, box)) == walked, nu.word
+        assert {rights for _, rights in walked} == {delta_free_histogram(nu)}, nu.word
+        for sample in (2, 3, 5):
+            picked = sorted(rng.sample(range(len(box)), min(sample, len(box))))
+            deltas = [box[i] for i in picked]
+            assert list(right_histograms(nu, deltas)) == [walked[i] for i in picked], nu.word
+
+
+def test_right_histograms_refuse_a_delta_over_another_nu(eneen):
+    other = IncrementVector.zero(LatticePath("ENEEEN"))
+    with pytest.raises(ContractError, match="over 'ENEEEN', not 'ENEEN'"):
+        list(right_histograms(eneen, [IncrementVector.zero(eneen), other]))
 
 
 @st.composite

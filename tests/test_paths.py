@@ -1,5 +1,3 @@
-import itertools
-
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -107,15 +105,16 @@ def test_increment_box(eneen):
     box = [d.entries for d in increment_box(LatticePath("NENEEN"))]
     assert box == [(0, 0, 0), (0, 1, 0), (0, 2, 0), (1, 0, 0), (1, 1, 0), (1, 2, 0)]
     for nu in all_base_paths(6):
-        box = list(increment_box(nu))
-        assert [d.entries for d in box] == list(
-            itertools.product(*(range(c + 1) for c in nu.composition[1:]))
-        )
-        assert box_size(nu) == len(box)
-        assert [box_vector(nu, i) for i in range(len(box))] == box
-        for index in (-1, len(box)):
+        for index in (-1, box_size(nu)):
             with pytest.raises(ContractError, match="box index"):
                 box_vector(nu, index)
+
+
+def test_increment_box_runs_in_box_vector_order_up_to_size_8():
+    for nu in all_base_paths(8):
+        box = list(increment_box(nu))
+        assert box_size(nu) == len(box)
+        assert box == [box_vector(nu, i) for i in range(len(box))], nu.word
 
 
 def test_weakly_above_needs_prefix_bounds_and_end_points(eneen):

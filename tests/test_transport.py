@@ -28,10 +28,11 @@ from alttamari import (
     verify_theorem,
     vertical_flushing,
 )
-from alttamari import oracle
+from alttamari import counting, oracle
 from alttamari.cli import main
+from alttamari.counting import LatticeLawError, census_by_paths, census_for
 from alttamari.order import Census, apply_horizontal, apply_vertical
-from alttamari.paths import is_weakly_above
+from alttamari.paths import box_size, box_vector, is_weakly_above
 from alttamari.transport import bad_bases
 from alttamari.vectors import reduced_column_vector, row_vector
 
@@ -260,8 +261,15 @@ def test_verify_theorem_holds_every_delta_to_the_delta_free_census(eneen, monkey
     expected = verify_theorem(eneen).census
     single = Census((1,), (), ())
     census_for = alttamari.transport.census_for
+    right_histograms = alttamari.transport.right_histograms
 
     def wrong_at(*wrong):
+        # at a wrong delta the row walk finds no right entry, and its census has one element
+        def histograms(nu, deltas):
+            for delta, rights in right_histograms(nu, deltas):
+                yield delta, () if delta.entries in wrong else rights
+
+        monkeypatch.setattr(alttamari.transport, "right_histograms", histograms)
         monkeypatch.setattr(
             alttamari.transport,
             "census_for",
@@ -291,24 +299,111 @@ def test_verify_theorem_holds_every_delta_to_the_delta_free_census(eneen, monkey
 def test_verify_theorem_samples_as_if_it_listed_the_box(monkeypatch):
     import alttamari.transport
 
-    census_for = alttamari.transport.census_for
+    right_histograms = alttamari.transport.right_histograms
     seen = []
-    monkeypatch.setattr(
-        alttamari.transport, "census_for", lambda delta: seen.append(delta) or census_for(delta)
-    )
+
+    def histograms(nu, deltas):
+        for delta, rights in right_histograms(nu, deltas):
+            seen.append(delta)
+            yield delta, rights
+
+    monkeypatch.setattr(alttamari.transport, "right_histograms", histograms)
     for nu in all_base_paths(7):
         box = list(increment_box(nu))
         for sample, seed in itertools.product((2, 3, 5), (0, 7)):
-            picked = box
-            if len(box) > sample:
-                rng = random.Random(seed)
-                keep = {0, len(box) - 1}
-                while len(keep) < sample:
-                    keep.add(rng.randrange(len(box)))
-                picked = [box[i] for i in sorted(keep)]
+            picked = [box[i] for i in sampled_indices(len(box), sample, seed)]
             seen.clear()
             assert verify_theorem(nu, sample=sample, seed=seed).deltas_checked == len(picked)
             assert seen == picked, (nu.word, sample, seed)
+
+
+def sampled_indices(size: int, sample: int, seed: int) -> list[int]:
+    """The box indices a sampled ``verify_theorem`` checks, in box order."""
+    if size <= sample:
+        return list(range(size))
+    rng = random.Random(seed)
+    keep = {0, size - 1}
+    while len(keep) < sample:
+        keep.add(rng.randrange(size))
+    return sorted(keep)
+
+
+def wrong_right_row(row: int, added: bool = False):
+    """``counting._right_row`` with one wrong right entry, found on ``row`` when delta_row = 1.
+
+    One right entry 1 becomes a 2, which keeps the length-1 count; with
+    ``added`` an entry 2 is added, which breaks it.
+    """
+    right_row = counting._right_row
+
+    def wrong(rows, k, d, walks, rights):
+        walks, rights = right_row(rows, k, d, walks, rights)
+        if k == row and d == 1:
+            rights = list(rights)
+            rights[2] += 1
+            if not added:
+                rights[1] -= 1
+        return walks, rights
+
+    return wrong
+
+
+@pytest.mark.parametrize("word", ["NE" * 6, "NEE" * 5])
+def test_verify_names_the_deltas_a_wrong_row_breaks_after_shared_rows(word, monkeypatch, capsys):
+    nu = LatticePath(word)
+    box = list(increment_box(nu))
+    reference = census_by_paths(nu)
+    monkeypatch.setattr(counting, "_right_row", wrong_right_row(3))
+    recounted = [(delta, census_for(delta)) for delta in box]
+    flagged = [(delta, census) for delta, census in recounted if census != reference]
+    # each delta with delta_3 = 1, also those that share rows 1..3 or more with the one before
+    assert [delta for delta, _ in flagged] == [delta for delta in box if delta.entries[2] == 1]
+    named = "".join(f"  delta={d.entries}: {census} != {reference}\n" for d, census in flagged)
+    line = f"{word}: {len(box)} deltas, census {reference.totals}, MISMATCH\n"
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    assert main(["verify", "--nu", word]) == 4
+    assert capsys.readouterr() == (line, named)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})  # two forked workers
+    assert main(["verify", "--nu", word, "--max-size", "1"]) == 4
+    out, err = capsys.readouterr()
+    assert (out.splitlines(keepends=True)[0], err) == (line, named)
+    # an added entry breaks the length-1 count: the first delta flagged ends the run
+    monkeypatch.setattr(counting, "_right_row", wrong_right_row(3, added=True))
+    with pytest.raises(LatticeLawError) as breach:
+        census_for(flagged[0][0])
+    for argv, cores in ((["--nu", word], {0}), (["--nu", word, "--max-size", "1"], {0, 1})):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cores)
+        assert main(["verify", *argv]) == 4
+        assert capsys.readouterr() == ("", f"invariant breach: {breach.value}\n")
+
+
+@st.composite
+def sampled_bases(draw):
+    size = draw(st.integers(15, 25))
+    word = st.text(alphabet="NE", min_size=size, max_size=size)
+    nu = LatticePath(draw(word.filter(lambda word: word.count("N") >= 2)))
+    row = draw(st.sampled_from([k for k in range(1, nu.n + 1) if nu.composition[k]] or [1]))
+    return nu, draw(st.integers(2, 8)), draw(st.integers(0, 2**32)), row
+
+
+@settings(max_examples=40, deadline=None)
+@given(sampled_bases())
+def test_verify_theorem_verdicts_are_those_of_a_per_delta_census(case):
+    nu, sample, seed, row = case
+    reference = census_by_paths(nu)
+    deltas = [box_vector(nu, i) for i in sampled_indices(box_size(nu), sample, seed)]
+    with pytest.MonkeyPatch.context() as patch:
+        for wrong in (False, True):
+            if wrong:
+                patch.setattr(counting, "_right_row", wrong_right_row(row))
+            censuses = [(delta, census_for(delta)) for delta in deltas]
+            report = verify_theorem(nu, sample=sample, seed=seed)
+            assert report.deltas_checked == len(deltas)
+            assert report.mismatches == tuple(
+                f"delta={delta.entries}: {census} != {reference}"
+                for delta, census in censuses
+                if census != reference
+            )
 
 
 def test_verify_theorem_report_json(eneen):
