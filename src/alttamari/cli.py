@@ -496,8 +496,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"validation error: {err}", file=sys.stderr)
         return VALIDATION_ERROR
     except MemoryError:
-        print("validation error: out of memory", file=sys.stderr)
-        return VALIDATION_ERROR
+        pass  # reported below, once the failing frames have let go of their memory
     except (_Breach, LatticeLawError) as err:
         print(f"invariant breach: {err}", file=sys.stderr)
         return INVARIANT_BREACH
@@ -506,6 +505,8 @@ def main(argv: list[str] | None = None) -> int:
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
         return 1
+    print("validation error: out of memory", file=sys.stderr)
+    return VALIDATION_ERROR
 
 
 if __name__ == "__main__":

@@ -32,11 +32,14 @@ requires as many right entries as valleys, turns it into a
 One row of this walk is :func:`_right_row`: it takes the walks and the
 right entries found before row k and returns new ones after it, the
 valleys ending row k started, and changes neither input.  The histogram
-of one delta is its fold over rows 1..n.  The state before row k depends
-on delta_1..delta_{k-1} alone, so :func:`right_histograms` walks a run of
-deltas keeping the state after each row of the last one, and recounts a
-delta only from the first entry where it differs: in box order, where the
-last entries change fastest, most deltas recount a row or two.
+of one delta is its fold over rows 1..n, and :func:`right_histograms` is
+that fold over a run of deltas.  The state before row k depends on
+delta_1..delta_{k-1} alone, so a delta is recounted only from the first
+entry where it differs from the one before: in box order, where the last
+entries change fastest, most deltas recount a row or two.  Reading one
+delta ahead, the fold keeps the states only up to the row where the walk
+of the next delta starts: one for a single delta, few for a sorted sample
+of a long nu.
 
 By the theorem every delta of nu has the census of delta = 0, where a
 right entry is the run of north steps after its valley: the entries >= k
@@ -50,7 +53,7 @@ from __future__ import annotations
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import accumulate, chain
+from itertools import accumulate, chain, pairwise
 from operator import add, mul, sub
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
@@ -198,47 +201,37 @@ def _right_row(
     return going, rights
 
 
-def _right_histogram(rows: _Rows, entries: tuple[int, ...]) -> tuple[int, ...]:
-    """How many valleys of the paths are followed by each number r of consecutive excursions.
-
-    Entry r of the tuple, trailing zeros trimmed, counts the right entries
-    r: the fold of :func:`_right_row` over rows 1..n, started on row 0 with
-    no walk.
-    """
-    state = _right_row(rows, 0, 0, {}, (0,) * (len(entries) + 1))
-    for k, d in enumerate(entries, start=1):
-        state = _right_row(rows, k, d, *state)
-    return _trim(list(state[1]))
-
-
 def right_histograms(
     nu: LatticePath, deltas: Iterable[IncrementVector]
 ) -> Iterator[tuple[IncrementVector, tuple[int, ...]]]:
-    """Each increment vector of nu with its ``_right_histogram``, sharing rows across them.
+    """Each increment vector of nu with its right histogram, sharing rows across them.
 
-    The state after each row of the last delta is kept, and the next delta
-    is walked from the first entry where the two differ; ``ContractError``
-    for a delta over another base.
+    Entry r of a histogram, trailing zeros trimmed, counts the right
+    entries r: the fold of :func:`_right_row` over rows 1..n, started on
+    row 0 with no walk.  Reading one delta ahead, the states are kept only
+    up to the first entry where the next delta differs, where its walk
+    starts; ``ContractError`` for a delta over another base.
     """
     rows, n = _rows(nu), nu.n
     states = [_right_row(rows, 0, 0, {}, (0,) * (n + 1))]
-    last: tuple[int, ...] = ()
-    for delta in deltas:
+    for delta, following in pairwise(chain(deltas, [None])):
         if delta.nu != nu:
             raise ContractError(f"increment vector over {delta.nu.word!r}, not {nu.word!r}")
-        entries = delta.entries
-        same = next((i for i, (a, b) in enumerate(zip(entries, last)) if a != b), len(last))
-        del states[same + 1 :]
-        for k in range(same + 1, n + 1):
-            states.append(_right_row(rows, k, entries[k - 1], *states[-1]))
-        last = entries
-        yield delta, _trim(list(states[n][1]))
+        entries, state = delta.entries, states[-1]
+        ahead = following.entries if following is not None else ()
+        keep = next((i for i, (a, b) in enumerate(zip(entries, ahead)) if a != b), len(ahead))
+        for k in range(len(states), n + 1):
+            state = _right_row(rows, k, entries[k - 1], *state)
+            if k <= keep:
+                states.append(state)
+        del states[keep + 1 :]
+        yield delta, _trim(list(state[1]))
 
 
 def census_for(delta: IncrementVector) -> Census:
     """The census of the alt nu-Tamari lattice of delta, counted without listing its paths."""
     rows = _rows(delta.nu)
-    rights = _right_histogram(rows, delta.entries)
+    ((_, rights),) = right_histograms(delta.nu, [delta])
     return census_from_histograms(rows.completions[0][0], rows.lefts, dict(enumerate(rights)))
 
 

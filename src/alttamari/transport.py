@@ -7,11 +7,13 @@ flushing row by row, right intervals along vertical flushing column by
 column, which is why every alt nu-Tamari lattice over a fixed nu has the
 same number of linear intervals of each length.  ``verify_theorem`` checks
 that statement head-on: it counts the right entries of every lattice in
-the increment box row by row, listing no path and sharing the rows before
-the first entry where a delta differs from the one before it, and holds
-each to the delta-free ones of ``census_by_paths``.  ``restricted_census``
-counts the linear intervals of a full rotation lattice restricted to the
-nu-paths path by path, without building that lattice.
+the increment box row by row with ``right_histograms``, listing no path
+and sharing the rows before the first entry where a delta differs from
+the one before it, and holds each to the delta-free ones of
+``census_by_paths``.  ``census_for`` is the same row walk for one delta.
+``restricted_census`` counts the linear intervals of a full rotation
+lattice restricted to the nu-paths path by path, without building that
+lattice.
 """
 
 from __future__ import annotations
@@ -140,7 +142,9 @@ def verify_theorem(nu: LatticePath, sample: int | None = None, seed: int = 0) ->
     and maximal ones) without listing the box; otherwise the full box is
     swept.  Either way the deltas go through ``right_histograms`` in box
     order, so each counts its right entries row by row from the first
-    entry where it differs from the last delta, listing no path.  Each
+    entry where it differs from the last delta, listing no path.  The walk
+    state after a row is kept only while the next delta shares the entries
+    up to that row, so a sparse sample keeps only a few.  Each
     histogram is held to the delta-free one, and a ``Census`` is built, by
     ``census_for``, only for a delta that differs, for its mismatch line;
     the report carries the delta-free census they must all equal.

@@ -699,8 +699,11 @@ def assert_breach(code, out, err):
 def test_census_breach_exits_4(monkeypatch, capsys):
     import alttamari.counting
 
-    # no excursion walk finishes, so the right entries fall short of the valleys
-    monkeypatch.setattr(alttamari.counting, "_right_histogram", lambda rows, entries: Counter())
+    # no excursion walk starts, so the right entries fall short of the valleys
+    def no_walk(rows, k, d, walks, rights):
+        return {}, rights
+
+    monkeypatch.setattr(alttamari.counting, "_right_row", no_walk)
     code, out, err = run(capsys, "census", "--nu", "ENEEN", "--delta", "1,0")
     assert_breach(code, out, err)
     assert err == "invariant breach: length-1 counts disagree: left=8 right=0\n"
@@ -829,6 +832,33 @@ def test_a_base_too_long_for_memory_is_a_usage_error():
 def test_running_out_of_memory_is_a_validation_error():
     argv = ("lattice", "--nu", NE2_9, "--delta", ",".join("0" * 9), "--format", "json")
     assert run_capped(256 * MB, *argv) == (3, "", "validation error: out of memory\n")
+
+
+def test_out_of_memory_is_reported_once_the_failing_frames_are_gone(monkeypatch):
+    import io
+    import weakref
+
+    class Ballast:
+        """Memory the failing command still holds while its frames are alive."""
+
+    held = weakref.WeakSet()
+
+    def census(args):
+        ballast = Ballast()
+        held.add(ballast)
+        raise MemoryError
+
+    class Stderr(io.StringIO):
+        def write(self, text):
+            if held:  # no memory left to print with while the ballast lives
+                raise MemoryError
+            return super().write(text)
+
+    stderr = Stderr()
+    monkeypatch.setattr(alttamari.cli, "cmd_census", census)
+    monkeypatch.setattr(sys, "stderr", stderr)
+    assert main(["census", "--nu", "ENEEN", "--delta", "1,0"]) == 3
+    assert stderr.getvalue() == "validation error: out of memory\n"
 
 
 CENSUS_ONLY = pytest.mark.parametrize(

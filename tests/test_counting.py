@@ -2,6 +2,7 @@
 oracle's word rewrites, the closed right-interval formula and each other past enumeration."""
 
 import random
+import weakref
 from itertools import product
 
 import pytest
@@ -9,9 +10,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from alttamari import ContractError, IncrementVector, LatticePath, enumerate_nu_paths, increment_box
+from alttamari import counting
 from alttamari.counting import (
-    _right_histogram,
+    _right_row,
     _rows,
+    _trim,
     census_by_paths,
     census_for,
     delta_free_histogram,
@@ -24,6 +27,7 @@ from alttamari.oracle import (
     rotation_left_form,
     rotation_right_form,
 )
+from alttamari.paths import reverse_path
 from alttamari.transport import mtamari_path, mtamari_right_formula
 
 from conftest import all_base_paths
@@ -43,18 +47,60 @@ def test_census_for_matches_path_census_for_every_pair_up_to_size_8():
     assert pairs == 2584
 
 
+def per_delta_walk(delta: IncrementVector) -> tuple[int, ...]:
+    """The right histogram of delta by a fold of ``_right_row`` over its rows alone."""
+    rows = _rows(delta.nu)
+    state = _right_row(rows, 0, 0, {}, (0,) * (delta.nu.n + 1))
+    for k, d in enumerate(delta.entries, start=1):
+        state = _right_row(rows, k, d, *state)
+    return _trim(list(state[1]))
+
+
 def test_right_histograms_match_the_per_delta_walk_up_to_size_8():
-    # the whole box in box order, then sorted seeded samples, which share fewer rows
+    # the whole box in box order, then sorted seeded samples, which share fewer rows,
+    # then shuffled ones, where a delta may share more rows with the next than the last
     rng = random.Random(2305)
     for nu in all_base_paths(8):
-        rows, box = _rows(nu), list(increment_box(nu))
-        walked = [(delta, _right_histogram(rows, delta.entries)) for delta in box]
+        box = list(increment_box(nu))
+        walked = [(delta, per_delta_walk(delta)) for delta in box]
         assert list(right_histograms(nu, box)) == walked, nu.word
         assert {rights for _, rights in walked} == {delta_free_histogram(nu)}, nu.word
         for sample in (2, 3, 5):
             picked = sorted(rng.sample(range(len(box)), min(sample, len(box))))
             deltas = [box[i] for i in picked]
             assert list(right_histograms(nu, deltas)) == [walked[i] for i in picked], nu.word
+        rng.shuffle(walked)
+        assert list(right_histograms(nu, [delta for delta, _ in walked])) == walked, nu.word
+
+
+class _Rights(list):
+    """Right entries that a weak reference can watch."""
+
+
+def shared_prefix(a: tuple[int, ...], b: tuple[int, ...]) -> int:
+    return next((i for i, (x, y) in enumerate(zip(a, b)) if x != y), min(len(a), len(b)))
+
+
+def test_right_histograms_keep_only_the_states_the_next_delta_reuses(monkeypatch):
+    watches = []
+
+    def watched(*args):
+        walks, rights = _right_row(*args)
+        rights = _Rights(rights)
+        watches.append(weakref.ref(rights))
+        return walks, rights
+
+    def alive() -> int:
+        return sum(watch() is not None for watch in watches)
+
+    monkeypatch.setattr(counting, "_right_row", watched)
+    nu = LatticePath("NE" * 8)
+    box = list(increment_box(nu))
+    for deltas in ([box[-1]], box[:200]):
+        following = [delta.entries for delta in deltas[1:]] + [()]
+        for (delta, _), ahead in zip(right_histograms(nu, deltas), following):
+            # the states up to the row the next walk starts from, and the last one
+            assert alive() <= shared_prefix(delta.entries, ahead) + 2, delta.entries
 
 
 def test_right_histograms_refuse_a_delta_over_another_nu(eneen):
@@ -117,17 +163,28 @@ def test_census_for_meets_the_right_formula_past_enumeration():
 
 
 @st.composite
-def long_instances(draw):
-    size = draw(st.integers(15, 60))
+def long_instances(draw, shortest: int, longest: int):
+    size = draw(st.integers(shortest, longest))
     nu = LatticePath(draw(st.text(alphabet="NE", min_size=size, max_size=size)))
     entries = tuple(draw(st.integers(0, c)) for c in nu.composition[1:])
     return IncrementVector(entries, nu)
 
 
 @settings(max_examples=60, deadline=None)
-@given(long_instances())
+@given(long_instances(15, 60))
 def test_census_for_meets_the_delta_free_census_on_any_base_past_enumeration(delta):
     # bases of 15 to 60 steps of any shape, most with far too many paths to list
     reference = census_by_paths(delta.nu)
     assert census_for(delta) == reference
     assert reference.totals[0] == count_paths_above(delta.nu.word)
+
+
+@settings(max_examples=25, deadline=None)
+@given(long_instances(20, 120))
+def test_census_for_swaps_left_and_right_with_the_reversed_base(delta):
+    # reversal turns each factor E N^k of a path into E^k N, so the right counts of the
+    # row walk must equal the plain left counts of the reversed base, and the other way
+    reversed_census = census_by_paths(reverse_path(delta.nu))
+    census = census_for(delta)
+    assert census.right == reversed_census.left
+    assert census.left == reversed_census.right
