@@ -15,8 +15,9 @@ Exit codes:
   too deeply to parse, lacks a key, does not hold a tree of its region or
   lies over another nu or delta than ``--nu``/``--delta``, an ``--out``
   file that cannot be written, and an input too large for memory;
-* 4 invariant breaches: a census, oracle or flushing mismatch that would
-  falsify the implementation.
+* 4 invariant breaches: a census, oracle or flushing mismatch, or a broken
+  lattice law (ids that are not a linear extension, no top or a missing
+  meet), that would falsify the implementation.
 
 Every error is reported as one line on stderr, never as a traceback.
 
@@ -30,9 +31,9 @@ the number of deltas times the square of the lattice size, costliest
 first, each to the child with the least load so far. For each of its paths
 a child builds the lattice of every delta, checks the lattice laws and the
 oracle census against ``census_by_paths`` once per distinct order among
-them, checks the theorem, and sends back only the lines to print and a
-failure count. The parent prints them in sweep order, so its output and
-exit code are those of a serial run.
+them, checks the theorem, and sends back only the lines to print. The
+parent prints them in sweep order and counts the mismatch lines as
+failures, so its output and exit code are those of a serial run.
 """
 
 from __future__ import annotations
@@ -162,8 +163,8 @@ def cmd_verify(args) -> int:
     return INVARIANT_BREACH if any(failures) else 0
 
 
-def _verify_one(nu: LatticePath, args) -> tuple[list[str], str, int]:
-    """The mismatch lines, the theorem line and the failure count of nu.
+def _verify_one(nu: LatticePath, args) -> tuple[list[str], str]:
+    """The mismatch lines and the theorem line of nu.
 
     A sweep (``--max-size``) cross-checks nu first; each delta whose
     census differs from the delta-free one adds a line too.
@@ -176,16 +177,19 @@ def _verify_one(nu: LatticePath, args) -> tuple[list[str], str, int]:
         f"{nu.word or '(empty)'}: {report.deltas_checked} deltas, "
         f"census {report.census.totals}, {status}"
     )
-    return mismatches, line, len(mismatches)
+    return mismatches, line
 
 
-def _report(verdict: tuple[list[str], str, int]) -> int:
-    """Print a verdict of ``_verify_one``: mismatch lines on stderr, the theorem line on stdout."""
-    mismatches, line, failures = verdict
+def _report(verdict: tuple[list[str], str]) -> int:
+    """Print a verdict of ``_verify_one``: mismatch lines on stderr, the theorem line on stdout.
+
+    Returns the number of mismatch lines, the verdict's failures.
+    """
+    mismatches, line = verdict
     for message in mismatches:
         print(message, file=sys.stderr)
     print(line)
-    return failures
+    return len(mismatches)
 
 
 def _cross_check(nu: LatticePath) -> list[str]:
@@ -248,8 +252,8 @@ def _in_workers(work, items: list, take, cost) -> list:
     are dealt out by ``_assign`` on their ``cost``, so the children finish
     at about the same time. Each child works its items in item order and
     writes each result, or the exception it raised, to its own pipe as one
-    pickled frame; results are kept small (lines of text and counts), so
-    the parent has little to unpickle. The parent reads the frame of item i
+    pickled frame; results are kept small (lines of text), so the parent
+    has little to unpickle. The parent reads the frame of item i
     from the pipe of the child that owns it, so whatever ``take`` prints
     comes out as in a serial run. Items whose child could not be started,
     or ended before writing their frames, are worked on in the parent.

@@ -61,7 +61,7 @@ from .paths import ContractError, IncrementVector, LatticePath, excursion_ends, 
 
 
 class LatticeLawError(AssertionError):
-    """A meet or join failed to exist; would falsify the lattice property."""
+    """A lattice law failed, such as a missing meet or join; would falsify the lattice property."""
 
 
 @dataclass(frozen=True)

@@ -104,15 +104,15 @@ def _skeleton(nu: LatticePath) -> tuple[tuple, Mapping, tuple]:
 def down_closure(uppers: list[list[int]]) -> list[int]:
     """The ``down`` rows, closed in one sweep over the upper cover lists.
 
-    Bit i of row j is set when i <= j.  Canonical order is a linear
-    extension: covers go from lower to higher ids.  Sweeping bottom-up,
-    every lower cover of i has already pushed its final row into i's, so
-    i's row is complete when it is reached.
+    Bit i of row j is set when i <= j.  Every row is seeded with its own
+    bit first, and the sweep only pushes each row, once it is reached, into
+    the rows of its upper covers.  Canonical order is a linear extension:
+    covers go from lower to higher ids.  Sweeping bottom-up, every lower
+    cover of i has already pushed its final row into i's, so i's row is
+    complete when it is reached.
     """
-    down = [0] * len(uppers)
-    for i, highs in enumerate(uppers):
-        row = down[i] | 1 << i
-        down[i] = row
+    down = [1 << i for i in range(len(uppers))]
+    for row, highs in zip(down, uppers):
         for j in highs:
             down[j] |= row
     return down
@@ -188,20 +188,30 @@ class FiniteLattice:
         """Raise LatticeLawError unless this is a lattice; returns the number of pairs a < b.
 
         A finite poset with a top in which every two elements have a meet is
-        a lattice (Davey and Priestley, ch. 2).  So the last id, the only
-        one a top can have in a linear extension, must be above every
-        element, and each pair a < b needs a meet (a meets itself).
-        The common lower bounds ``down[a] & down[b]`` are a down-set, and
-        they have a meet when one of them is above all the others.  Ids are
-        a linear extension, so only the largest id z among them can be; as
-        ``down[z]`` lies within the bounds, z is the meet exactly when the
-        two are equal.  The top is checked on its own because meets alone do
-        not give one: a vee has every meet and no top.  Empty bounds are
-        checked on their own because ``(0).bit_length() - 1`` is -1, which
-        indexes the last row, so the comparison would rest on that wrap.
+        a lattice (Davey and Priestley, ch. 2).  The top and the meet test
+        below rely on ids being a linear extension, so that is checked
+        first: ``down_closure`` seeds each row with its own bit, so every
+        cover goes to a higher id exactly when no row holds a bit above its
+        own id.  Then the last id, the only one a top can have in a linear
+        extension, must be above every element, and each pair a < b needs a
+        meet (a meets itself).  The common lower bounds
+        ``down[a] & down[b]`` are a down-set, and they have a meet when one
+        of them is above all the others.  Ids are a linear extension, so
+        only the largest id z among them can be; as ``down[z]`` lies within
+        the bounds, z is the meet exactly when the two are equal.  The top
+        is checked on its own because meets alone do not give one: a vee has
+        every meet and no top.  Empty bounds are checked on their own
+        because ``(0).bit_length() - 1`` is -1, which indexes the last row,
+        so the comparison would rest on that wrap.
         """
         down = self.down
         size = len(down)
+        for a, row in enumerate(down):
+            if row.bit_length() > a + 1:
+                raise LatticeLawError(
+                    f"element {row.bit_length() - 1} lies below element {a}: "
+                    "ids are not a linear extension"
+                )
         if down[-1] != (1 << size) - 1:
             raise LatticeLawError(f"element {size - 1} is not above every element: no top")
         for a in range(size):

@@ -466,7 +466,7 @@ def test_sweep_assignment_gives_each_word_one_child_and_evens_the_load(count):
         assert max(loads) <= sum(costs) / count + max(costs)
 
 
-def test_verify_sweep_children_send_back_only_lines_and_counts(capsys, monkeypatch, tmp_path):
+def test_verify_sweep_children_send_back_only_lines(capsys, monkeypatch, tmp_path):
     import pickle
 
     log = tmp_path / "frames"
@@ -488,7 +488,7 @@ def test_verify_sweep_children_send_back_only_lines_and_counts(capsys, monkeypat
     code, out, _ = sweep(capsys, "--max-size", "4")
     frames = log.read_text().splitlines()
     assert code == 0 and len(frames) == len(out.splitlines())  # one frame per word, all from children
-    assert {name for frame in frames for name in frame.split()} == {"str", "int"}
+    assert {name for frame in frames for name in frame.split()} == {"str"}
 
 
 def test_verify_sweep_reports_oracle_mismatches_in_sweep_order(capsys, monkeypatch, workers):
@@ -538,6 +538,29 @@ def test_verify_sweep_stops_at_a_late_lattice_law_breach(capsys, monkeypatch, wo
     code, out, err = sweep(capsys, "--max-size", "3")
     assert (code, err) == (4, "invariant breach: no meet of 0 and 1\n")
     assert out == "".join(expected.splitlines(keepends=True)[:-1])  # NNN is the last word
+
+
+def test_verify_sweep_reports_a_cover_cycle_as_a_breach(capsys, monkeypatch, workers):
+    # at delta (0, 0) of EENEN, element 3 rotates down to element 1 at its first valley
+    from alttamari import order
+
+    _, expected, _ = sweep(capsys, "--max-size", "5")
+    rotate = order.delta_rotate
+
+    def cycling(mu, delta, y):
+        if (delta.nu.word, delta.entries) == ("EENEN", (0, 0)):
+            elements, _, valley_rows = order._skeleton(delta.nu)
+            if (mu, y) == (elements[3], valley_rows[3][0]):
+                return elements[1]
+        return rotate(mu, delta, y)
+
+    monkeypatch.setattr(order, "delta_rotate", cycling)
+    code, out, err = sweep(capsys, "--max-size", "5")
+    assert (code, err) == (
+        4, "invariant breach: element 3 lies below element 1: ids are not a linear extension\n"
+    )
+    lines = expected.splitlines(keepends=True)
+    assert out == "".join(lines[: [line.split(":")[0] for line in lines].index("EENEN")])
 
 
 @pytest.mark.parametrize("failing", ["pipe", "fork"])

@@ -108,6 +108,18 @@ def test_lattice_laws_reject_non_lattices(size, covers, message):
         poset.check_lattice_laws()
 
 
+def test_lattice_laws_reject_a_cyclic_order():
+    # 1 and 2 cover each other; poset_from_covers cannot build this, as the oracle refuses cycles
+    covers = [(0, 1), (1, 2), (2, 1)]
+    poset = order.FiniteLattice.__new__(order.FiniteLattice)
+    poset.upper_covers = [[high for low, high in covers if low == i] for i in range(3)]
+    poset.down = order.down_closure(poset.upper_covers)
+    with pytest.raises(LatticeLawError, match="element 2 lies below element 1"):
+        poset.check_lattice_laws()
+    with pytest.raises(ValueError, match="cycle through elements 1 and 2"):
+        oracle.closure_from_covers(3, covers)
+
+
 def test_lattice_laws_accept_a_lattice_rebuilt_from_its_covers():
     lat = lattice_of("ENEENN", (2, 0, 0))
     poset = poset_from_covers(len(lat), [(a, b) for a, b, _ in lat.covers])
