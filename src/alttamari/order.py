@@ -15,10 +15,26 @@ ed., ch. 2), since the join of a and b is then the meet of their common
 upper bounds, which the top makes a non-empty set.
 
 Every delta of one nu orders the same elements, so the elements, their ids
-and their valley rows are enumerated once per nu and shared by all of that
+and their cover groups are enumerated once per nu and shared by all of that
 nu's lattices (:func:`_skeleton`); a lattice builds only its upper covers
 and one closure of its order, ``down`` (:func:`down_closure`), from which
 every order query is read.
+
+A cover is one rotation walk, and most walks repeat.  The rotation at the
+valley ending row y of mu moves one east step from row y up to the row k
+where the excursion ends.  The walk to k reads delta and mu_{y+1..n}
+alone, and so does the id offset id(rotated) - id(mu).  The paths strictly
+between mu and its rotation in canonical order share mu's rows 0..y-1.
+On row y each has either mu_y east steps and a smaller suffix, or
+mu_y - 1 and a suffix at least the rotated one.  Which suffixes stay
+weakly above nu depends only on the east steps reached through row y,
+which is m - sum_{i>y} mu_i.  So the valleys fall into groups by
+(y, mu_{y+1..n}), and one walk gives the offset of every cover in a group.
+Each group holds exactly one path with no east step below row y, namely
+(0, ..., 0, m - sum_{i>y} mu_i, mu_{y+1}, ..., mu_n).  Every path but the
+top has a first row y < n with an east step, and that row ends a valley.
+So a lattice of N elements has N - 1 groups, each named by the id of that
+path, and a build makes one rotation per non-top element.
 
 Non-trivial linear intervals split into left intervals and right
 intervals; :mod:`alttamari.counting` counts both on paths.  On trees a
@@ -94,11 +110,38 @@ class IntervalRecord:
 
 
 @lru_cache(maxsize=16)
-def _skeleton(nu: LatticePath) -> tuple[tuple, Mapping, tuple]:
-    """The paths weakly above nu in canonical order, their ids and each one's valley rows."""
+def _skeleton(nu: LatticePath) -> tuple[tuple, Mapping, tuple, tuple]:
+    """The paths weakly above nu in canonical order, their ids, lows and cover groups.
+
+    ``lows[r]`` is the first row with an east step of path r, for every
+    path r but the top.  ``groups[i]`` names the group of each valley of
+    path i, in valley order.  The valley ending row y is in group r when
+    path r is (0, ..., 0, x, mu_{y+1}, ..., mu_n), x being mu's east steps
+    through row y.  Its cover has the id offset of path r's rotation at
+    row ``lows[r]`` (module docstring).
+
+    The first valley of mu is in mu's own group.  Moving the east steps of
+    mu's first valley row up to its second gives a path with the valleys
+    of mu but the first, and the same x and suffix at each, so the same
+    groups.  That path comes later in canonical order, so a walk from the
+    top down finds its groups made, and takes one lookup per path.
+    """
     elements = tuple(enumerate_nu_paths(nu))
-    ids = MappingProxyType({mu: i for i, mu in enumerate(elements)})
-    return elements, ids, tuple(tuple(valleys(mu)) for mu in elements)
+    ids = {mu: i for i, mu in enumerate(elements)}
+    lows, groups = [], [()] * len(elements)
+    for mu, i in reversed(ids.items()):
+        rows = valleys(mu)
+        if not rows:  # the top
+            continue
+        y = rows[0]
+        lows.append(y)
+        if len(rows) == 1:
+            groups[i] = (i,)
+        else:
+            z = rows[1]
+            groups[i] = (i,) + groups[ids[(0,) * z + (mu[y] + mu[z],) + mu[z + 1 :]]]
+    lows.reverse()
+    return elements, MappingProxyType(ids), tuple(lows), tuple(groups)
 
 
 def down_closure(uppers: list[list[int]]) -> list[int]:
@@ -121,20 +164,26 @@ def down_closure(uppers: list[list[int]]) -> list[int]:
 class FiniteLattice:
     """One alt nu-Tamari lattice: its elements, upper covers and ``down`` closure.
 
-    The elements, their ids and valley rows are shared with every lattice of
-    the same nu.  ``upper_covers[i]`` holds the ids of the delta-rotations of
-    element i in valley order, and ``down`` is closed from them; ``down[j]``
-    holds the elements below j, and every order query reads it.  The sorted
-    cover triples and the trees are derived on first read.
+    The elements, their ids and cover groups are shared with every lattice
+    of the same nu.  ``upper_covers[i]`` holds the ids of the
+    delta-rotations of element i in valley order.  Each is i plus its
+    group's offset, taken from one rotation per group.  ``down`` is closed
+    from them; ``down[j]`` holds the elements below j, and every order
+    query reads it.  The sorted cover triples and the trees are derived on
+    first read.
     """
 
     def __init__(self, delta: IncrementVector):
         self.delta = delta
-        elements, ids, valley_rows = _skeleton(delta.nu)
+        elements, ids, lows, groups = _skeleton(delta.nu)
         self.elements, self._ids = elements, ids
+        offsets = [
+            ids[delta_rotate(mu, delta, y)] - r for r, (mu, y) in enumerate(zip(elements, lows))
+        ]
+        # the covers hold the id objects of ``ids``, not one new int each
+        ranks = tuple(ids.values())
         self.upper_covers: list[list[int]] = [
-            [ids[delta_rotate(mu, delta, y)] for y in rows]
-            for mu, rows in zip(elements, valley_rows)
+            [ranks[i + offsets[r]] for r in slots] for i, slots in enumerate(groups)
         ]
         self.down = down_closure(self.upper_covers)
 

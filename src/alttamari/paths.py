@@ -321,7 +321,7 @@ def delta_rotate(composition: tuple[int, ...], delta: IncrementVector, row: int)
     The end is the first of :func:`excursion_ends`, which lists every end
     of the run; this walk restates that rule but stops at the first end
     (elevation at most mu_k) and builds no list of ends, since a lattice
-    makes one rotation per cover.  It raises the same errors.
+    build makes one rotation per non-top element.  It raises the same errors.
     """
     entries = delta.entries
     n = len(entries)

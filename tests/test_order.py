@@ -24,7 +24,7 @@ from alttamari import (
 )
 from alttamari import oracle, order
 from alttamari.order import NON_LINEAR, LEFT, RIGHT, TRIVIAL, apply_horizontal, apply_vertical
-from alttamari.paths import excursion_ends
+from alttamari.paths import delta_rotate, excursion_ends, valleys
 from alttamari.vectors import reduced_column_vector
 
 from conftest import all_base_paths, all_instances, transpose
@@ -199,6 +199,36 @@ def test_census_derives_neither_cover_triples_nor_trees():
     assert not {"covers", "trees", "region", "nu"} & set(vars(lat))
     assert sum(map(len, lat.upper_covers)) == len(lat.covers) == 24
     assert "covers" in vars(lat)
+
+
+def test_grouped_covers_match_one_rotation_per_valley():
+    # the reference walks once per valley, the rule the grouped build replaces
+    checked = 0
+    for nu, delta in all_instances(8):
+        lat = build_lattice(delta)
+        ids = lat._ids
+        expected = [[ids[delta_rotate(mu, delta, y)] for y in valleys(mu)] for mu in lat.elements]
+        assert lat.upper_covers == expected, (nu.word, delta.entries)
+        checked += 1
+    assert checked == 2584
+
+
+def test_a_build_makes_one_rotation_per_non_top_element(monkeypatch):
+    # one walk per group of valleys, where one per valley would walk once per cover
+    calls = []
+    rotate = order.delta_rotate
+
+    def counted(mu, delta, y):
+        calls.append(y)
+        return rotate(mu, delta, y)
+
+    monkeypatch.setattr(order, "delta_rotate", counted)
+    lat = build_lattice(IncrementVector.zero(LatticePath("NEE" * 7)))
+    assert (len(calls), len(lat), sum(map(len, lat.upper_covers))) == (7751, 7752, 31008)
+    for nu, delta in all_instances(8):
+        calls.clear()
+        lat = build_lattice(delta)
+        assert len(calls) == len(lat) - 1, (nu.word, delta.entries)
 
 
 def test_lattices_of_one_nu_share_one_skeleton():

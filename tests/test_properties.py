@@ -175,6 +175,26 @@ def test_rotations_on_compositions_match_word_rotations(instance):
         assert list(enumerate(words)) == naive_rotations(word, delta.entries)
 
 
+@st.composite
+def mid_instances(draw):
+    # a random delta of a random nu with 9 to 12 steps, at most C(12, 6) = 924 elements
+    size = draw(st.integers(9, 12))
+    nu = LatticePath(draw(st.text(alphabet="NE", min_size=size, max_size=size)))
+    entries = tuple(draw(st.integers(0, c)) for c in nu.composition[1:])
+    return IncrementVector(entries, nu)
+
+
+@settings(max_examples=40)
+@given(mid_instances())
+def test_grouped_covers_match_one_rotation_per_valley_past_size_8(delta):
+    lattice = build_lattice(delta)
+    expected = [
+        [lattice.element_id(delta_rotate(mu, delta, y)) for y in valleys(mu)]
+        for mu in lattice.elements
+    ]
+    assert lattice.upper_covers == expected
+
+
 @settings(max_examples=40)
 @given(instances(MAX_CENSUS_ELEMENTS))
 def test_path_census_matches_the_right_flushed_trees_vectors(instance):
