@@ -11,13 +11,13 @@ Exit codes:
   from ``--m`` and ``--n``, with more steps than ``sys.maxsize`` or too long
   to build in memory;
 * 3 validation errors on otherwise well-formed input: a path that is not
-  weakly above nu, a tree file that cannot be read, is not JSON, nests
-  too deeply to parse, lacks a key, does not hold a tree of its region or
-  lies over another nu or delta than ``--nu``/``--delta``, an ``--out``
+  weakly above nu, a tree file that cannot be read or holds no tree, or
+  one over another nu or delta than ``--nu``/``--delta``, an ``--out``
   file that cannot be written, and an input too large for memory;
 * 4 invariant breaches: a census, oracle or flushing mismatch, or a broken
   lattice law (ids that are not a linear extension, no top or a missing
-  meet), that would falsify the implementation.
+  meet), that would falsify the implementation;
+* 130 interrupted, as by Ctrl-C, with no child process left behind.
 
 Every error is reported as one line on stderr, never as a traceback.
 
@@ -349,29 +349,10 @@ def _read_tree(path: str) -> GridTree:
             data = json.load(handle)
     except (OSError, ValueError, RecursionError) as err:
         raise _Validation(f"cannot read tree file {path!r}: {err}") from err
-    if not isinstance(data, dict):
-        raise _Validation(f"tree file {path!r} holds no tree: not a JSON object")
-    for key in ("nu", "delta", "nodes"):
-        if key not in data:
-            raise _Validation(f"tree file {path!r} lacks the key {key!r}")
-    if not (
-        isinstance(data["nu"], str)
-        and _is_int_list(data["delta"])
-        and isinstance(data["nodes"], list)
-        and all(_is_int_list(node) and len(node) == 2 for node in data["nodes"])
-    ):
-        raise _Validation(
-            f"tree file {path!r} holds no tree: expected a word nu, "
-            "a list of integers delta and nodes as pairs of integers"
-        )
     try:
         return tree_from_json(data)
-    except (ContractError, PathSyntaxError) as err:
-        raise _Validation(f"tree file {path!r} holds no tree: {err}") from err
-
-
-def _is_int_list(value) -> bool:
-    return isinstance(value, list) and all(type(v) is int for v in value)
+    except ContractError as err:
+        raise _Validation(f"tree file {path!r} {err}") from err
 
 
 def cmd_transport(args) -> int:
@@ -504,6 +485,9 @@ def main(argv: list[str] | None = None) -> int:
     except (_Breach, LatticeLawError) as err:
         print(f"invariant breach: {err}", file=sys.stderr)
         return INVARIANT_BREACH
+    except KeyboardInterrupt:
+        print("interrupted", file=sys.stderr)
+        return 130  # 128 + SIGINT, as a shell reports it
     except BrokenPipeError:
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())

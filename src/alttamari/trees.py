@@ -36,6 +36,7 @@ from .paths import (
     ContractError,
     IncrementVector,
     LatticePath,
+    PathSyntaxError,
     is_weakly_above,
     parse_path,
 )
@@ -216,11 +217,34 @@ class GridTree:
         return " ".join(f"({x},{y})" for x, y in self.sorted_nodes())
 
 
-def tree_from_json(data: dict) -> GridTree:
-    delta = IncrementVector(tuple(data["delta"]), parse_path(data["nu"]))
-    tree = GridTree(build_region(delta), frozenset((x, y) for x, y in data["nodes"]))
-    tree.validate()
+def tree_from_json(data) -> GridTree:
+    """The tree of a document as ``GridTree.to_json_dict`` writes it; ContractError on any fault."""
+    if not isinstance(data, dict):
+        raise ContractError("holds no tree: not a JSON object")
+    for key in ("nu", "delta", "nodes"):
+        if key not in data:
+            raise ContractError(f"lacks the key {key!r}")
+    if not (
+        isinstance(data["nu"], str)
+        and _is_int_list(data["delta"])
+        and isinstance(data["nodes"], list)
+        and all(_is_int_list(node) and len(node) == 2 for node in data["nodes"])
+    ):
+        raise ContractError(
+            "holds no tree: expected a word nu, "
+            "a list of integers delta and nodes as pairs of integers"
+        )
+    try:
+        delta = IncrementVector(tuple(data["delta"]), parse_path(data["nu"]))
+        tree = GridTree(build_region(delta), frozenset((x, y) for x, y in data["nodes"]))
+        tree.validate()
+    except (ContractError, PathSyntaxError) as err:
+        raise ContractError(f"holds no tree: {err}") from err
     return tree
+
+
+def _is_int_list(value) -> bool:
+    return isinstance(value, list) and all(type(v) is int for v in value)
 
 
 def _first_after(values: list[int], v: int) -> int | None:

@@ -611,6 +611,30 @@ def test_verify_sweep_redoes_in_the_parent_what_a_dead_child_left(capsys, monkey
     assert sorted(word for _, word in checked) == sorted(words)
 
 
+def test_an_interrupted_sweep_is_one_line_and_leaves_no_child(capsys, monkeypatch, workers):
+    # Ctrl-C while NEN is checked: a child that gets it ends early, and the
+    # parent redoes NEN and gets it too; the parent reaps every child either way
+    import alttamari.cli
+    from alttamari.paths import all_base_paths
+
+    _, full, _ = run(capsys, "verify", "--max-size", "3")
+    verify_one = alttamari.cli._verify_one
+
+    def interrupted_at_nen(nu, args):
+        if nu.word == "NEN":
+            raise KeyboardInterrupt
+        return verify_one(nu, args)
+
+    monkeypatch.setattr(alttamari.cli, "_verify_one", interrupted_at_nen)
+    try:
+        code, out, err = sweep(capsys, "--max-size", "3")
+    except KeyboardInterrupt:
+        pytest.fail("the interrupt escaped main()")
+    at = [nu.word for nu in all_base_paths(3)].index("NEN")
+    assert (code, err) == (130, "interrupted\n")
+    assert out.splitlines() == full.splitlines()[:at]
+
+
 @pytest.mark.parametrize("cores, forks", [(1, 0), (2, 2), (64, 3), (None, 2)])
 def test_verify_sweep_starts_at_most_one_child_per_core_and_base_word(
     capsys, monkeypatch, cores, forks

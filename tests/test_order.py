@@ -494,3 +494,20 @@ def test_an_increment_vector_of_another_nu_is_refused(call):
     nu, other = LatticePath("ENEEN"), LatticePath("NEENE")
     with pytest.raises(ContractError, match="'NEENE'"):
         call(nu, IncrementVector((0, 0), other))
+
+
+def test_a_padded_word_has_its_cores_lattices():
+    # every path above N^a c E^b takes its first a steps north and its last b
+    # steps east, so the leading N's and trailing E's of a word change no
+    # lattice of its box and no census: 383 padded words with m+n <= 8
+    from alttamari.counting import census_by_paths
+
+    def orders(nu):
+        return {tuple(map(tuple, build_lattice(d).upper_covers)) for d in increment_box(nu)}
+
+    padded = [nu for nu in all_base_paths(8) if nu.word[:1] == "N" or nu.word[-1:] == "E"]
+    assert len(padded) == 383
+    for nu in padded:
+        core = LatticePath(nu.word.lstrip("N").rstrip("E"))
+        assert orders(nu) == orders(core), nu.word
+        assert census_by_paths(nu) == census_by_paths(core), nu.word

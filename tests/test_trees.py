@@ -284,3 +284,48 @@ def test_tree_json_round_trip(eneen):
     broken = dict(doc, nodes=doc["nodes"][:-1])
     with pytest.raises(ContractError):
         tree_from_json(broken)
+
+
+def eneen_doc(**fields) -> dict:
+    """A tree document over ENEEN and delta (2, 0), with these fields replaced."""
+    return {"nu": "ENEEN", "delta": [2, 0], "nodes": [], **fields}
+
+
+@pytest.mark.parametrize(
+    "data, message",
+    [
+        ({"nu": "ENEEN", "delta": [2, 0]}, "lacks the key 'nodes'"),
+        ([1, 2], "holds no tree: not a JSON object"),
+        (eneen_doc(nu=5), "holds no tree: expected a word nu"),
+        (eneen_doc(delta="2,0"), "holds no tree: expected a word nu"),
+        (eneen_doc(delta=[2.0, 0]), "holds no tree: expected a word nu"),
+        (eneen_doc(delta=[True, 0]), "holds no tree: expected a word nu"),
+        (eneen_doc(nodes=[[0, 2, 1]]), "holds no tree: expected a word nu"),
+        (eneen_doc(nu="ENXEN"), "holds no tree: invalid step 'X' at position 2"),
+        (eneen_doc(delta=[3, 0]), "holds no tree: increment entry delta_1=3 out of range 0..2"),
+        (eneen_doc(nodes=[[0, 2]]), "holds no tree: tree has 1 nodes, expected 6"),
+        (
+            eneen_doc(nodes=[[0, 1], [0, 2], [1, 0], [2, 1], [3, 1], [5, 0]]),
+            "holds no tree: node (5,0) outside the region",
+        ),
+        (
+            eneen_doc(nodes=[[0, 1], [0, 2], [1, 0], [1, 2], [2, 1], [3, 1]]),
+            "holds no tree: incompatible nodes (0, 1) and (1, 2)",
+        ),
+        (
+            eneen_doc(nodes=[[0, 0], [0, 1], [1, 0], [1, 1], [2, 1], [3, 1]]),
+            "holds no tree: tree misses the top-left corner of its region",
+        ),
+    ],
+    ids=[
+        "no-nodes", "not-an-object", "nu-not-a-word", "delta-not-a-list", "float-delta",
+        "bool-delta", "node-not-a-pair", "bad-nu", "delta-out-of-range", "not-a-tree",
+        "outside-the-region", "incompatible-nodes", "no-top-left-corner",
+    ],
+)
+def test_tree_from_json_refuses_malformed_documents(data, message):
+    # every fault of a document is a ContractError whose message reads on after
+    # the name of the file that held it, as `flush --tree` prints it
+    with pytest.raises(ContractError) as err:
+        tree_from_json(data)
+    assert str(err.value).startswith(message)
