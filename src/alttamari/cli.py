@@ -305,11 +305,18 @@ def _in_workers(work, items: list, take, cost) -> list:
             taken.append(take(result))
         return taken
     finally:
-        for reader in filter(None, readers):
-            reader.close()
-        for pid in pids:
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
+        if pids:  # only a started child gives a reader
+            # a second Ctrl-C is held, blocked, until every child is reaped:
+            # raised inside the loop, it would leave the later children behind
+            mask = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
+            try:
+                for reader in filter(None, readers):
+                    reader.close()
+                for pid in pids:
+                    os.kill(pid, signal.SIGKILL)
+                    os.waitpid(pid, 0)
+            finally:
+                signal.pthread_sigmask(signal.SIG_SETMASK, mask)
 
 
 def cmd_flush(args) -> int:

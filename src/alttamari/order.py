@@ -34,7 +34,20 @@ Each group holds exactly one path with no east step below row y, namely
 (0, ..., 0, m - sum_{i>y} mu_i, mu_{y+1}, ..., mu_n).  Every path but the
 top has a first row y < n with an east step, and that row ends a valley.
 So a lattice of N elements has N - 1 groups, each named by the id of that
-path, and a build makes one rotation per non-top element.
+path.
+
+Most groups share their offset too, as ids are ranks.  Canonical order is
+decreasing lexicographic order, so with p_j the east steps of mu through
+row j and c = ``counting._rows(nu).completions`` (c[j][x] counts the ways
+on from x east steps before row j), id(mu) = sum_j sum_{z > p_j} c[j+1][z].
+The rotation ending on row k lowers p_y..p_{k-1} by one, so
+id(rotated) - id(mu) = sum_{j=y}^{k-1} c[j+1][p_j], which reads only y,
+x = p_y and mu_{y+1..k}.  The group paths that share that prefix through
+row k are the paths with it, a run of c[k+1][p_k] consecutive ids (one
+when k = n).  So a build walks the first group path of each such block
+and gives its offset to the whole block.  Of the 7,751 groups of
+(NE^2)^7, a build walks 197 at delta = 0, 3,618 at the maximal delta and
+927 at the median of its 2,187 deltas.
 
 Non-trivial linear intervals split into left intervals and right
 intervals; :mod:`alttamari.counting` counts both on paths.  On trees a
@@ -51,7 +64,7 @@ from functools import cached_property, lru_cache, reduce
 from types import MappingProxyType
 from typing import Mapping
 
-from .counting import Census, LatticeLawError, census_for
+from .counting import Census, LatticeLawError, _rows, census_for
 from .paths import (
     ContractError,
     IncrementVector,
@@ -110,15 +123,16 @@ class IntervalRecord:
 
 
 @lru_cache(maxsize=16)
-def _skeleton(nu: LatticePath) -> tuple[tuple, Mapping, tuple, tuple]:
-    """The paths weakly above nu in canonical order, their ids, lows and cover groups.
+def _skeleton(nu: LatticePath) -> tuple[tuple, Mapping, tuple, tuple, tuple]:
+    """The paths weakly above nu in canonical order, their ids, lows, cover groups and completions.
 
     ``lows[r]`` is the first row with an east step of path r, for every
     path r but the top.  ``groups[i]`` names the group of each valley of
     path i, in valley order.  The valley ending row y is in group r when
     path r is (0, ..., 0, x, mu_{y+1}, ..., mu_n), x being mu's east steps
     through row y.  Its cover has the id offset of path r's rotation at
-    row ``lows[r]`` (module docstring).
+    row ``lows[r]`` (module docstring), which it shares with a block of
+    paths counted by ``completions``, the table of :func:`alttamari.counting._rows`.
 
     The first valley of mu is in mu's own group.  Moving the east steps of
     mu's first valley row up to its second gives a path with the valleys
@@ -141,7 +155,7 @@ def _skeleton(nu: LatticePath) -> tuple[tuple, Mapping, tuple, tuple]:
             z = rows[1]
             groups[i] = (i,) + groups[ids[(0,) * z + (mu[y] + mu[z],) + mu[z + 1 :]]]
     lows.reverse()
-    return elements, MappingProxyType(ids), tuple(lows), tuple(groups)
+    return elements, MappingProxyType(ids), tuple(lows), tuple(groups), _rows(nu).completions
 
 
 def down_closure(uppers: list[list[int]]) -> list[int]:
@@ -167,19 +181,28 @@ class FiniteLattice:
     The elements, their ids and cover groups are shared with every lattice
     of the same nu.  ``upper_covers[i]`` holds the ids of the
     delta-rotations of element i in valley order.  Each is i plus its
-    group's offset, taken from one rotation per group.  ``down`` is closed
-    from them; ``down[j]`` holds the elements below j, and every order
-    query reads it.  The sorted cover triples and the trees are derived on
-    first read.
+    group's offset.  That offset is a sum of completion counts that reads
+    only the rows up to the excursion's end, so a block of consecutive
+    groups shares it, and one rotation per block gives it (module
+    docstring).  ``down`` is closed from them; ``down[j]`` holds the
+    elements below j, and every order query reads it.  The sorted cover
+    triples and the trees are derived on first read.
     """
 
     def __init__(self, delta: IncrementVector):
         self.delta = delta
-        elements, ids, lows, groups = _skeleton(delta.nu)
+        elements, ids, lows, groups, completions = _skeleton(delta.nu)
         self.elements, self._ids = elements, ids
-        offsets = [
-            ids[delta_rotate(mu, delta, y)] - r for r, (mu, y) in enumerate(zip(elements, lows))
-        ]
+        n, offsets, r = len(delta.entries), [], 0
+        while r < len(lows):  # r starts a block of groups
+            mu, y = elements[r], lows[r]
+            rotated = delta_rotate(mu, delta, y)
+            k = y + 1  # the row the east step moved up to
+            while rotated[k] == mu[k]:
+                k += 1
+            size = completions[k + 1][sum(mu[: k + 1])] if k < n else 1
+            offsets += [ids[rotated] - r] * size
+            r += size
         # the covers hold the id objects of ``ids``, not one new int each
         ranks = tuple(ids.values())
         self.upper_covers: list[list[int]] = [

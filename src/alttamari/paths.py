@@ -311,8 +311,9 @@ def delta_rotate(composition: tuple[int, ...], delta: IncrementVector, row: int)
     The end is the first of :func:`excursion_ends`, which lists every end
     of the run; this walk restates that rule but stops at the first end
     (elevation at most mu_k) and builds no list of ends.  It checks the domain
-    of both walks inline: in the 7,751 rotations of a ~13 ms (NE^2)^7 build, one
-    shared walk cost 1.3-1.9 ms and a shared check helper alone 0.2-0.4 ms.
+    of both walks inline: when a ~13 ms (NE^2)^7 build made 7,751 rotations, one
+    shared walk cost 1.3-1.9 ms and a shared check helper alone 0.2-0.4 ms.  A
+    build now makes one per block of cover groups, 197 to 3,618 of them there.
     """
     entries = delta.entries
     n = len(entries)

@@ -542,7 +542,8 @@ def test_verify_sweep_stops_at_a_late_lattice_law_breach(capsys, monkeypatch, wo
 
 def test_verify_sweep_reports_a_cover_cycle_as_a_breach(capsys, monkeypatch, workers):
     # at delta (0, 0) of EENEN, element 3 rotates down to element 1 at its
-    # first valley, row 0; no other valley walks with it, so only that cover moves
+    # first valley, row 0; it still starts a block of size 1, and no other
+    # valley is in its group, so only that cover moves
     from alttamari import order
 
     _, expected, _ = sweep(capsys, "--max-size", "5")
@@ -633,6 +634,43 @@ def test_an_interrupted_sweep_is_one_line_and_leaves_no_child(capsys, monkeypatc
     at = [nu.word for nu in all_base_paths(3)].index("NEN")
     assert (code, err) == (130, "interrupted\n")
     assert out.splitlines() == full.splitlines()[:at]
+
+
+def test_a_second_interrupt_while_children_are_reaped_leaves_no_child(capsys, monkeypatch):
+    # Ctrl-C lands as the parent kills its first child; every child is still reaped
+    import signal
+
+    use_cores(monkeypatch, 2)
+    fork, kill, children, kills = os.fork, os.kill, [], []
+
+    def forking():
+        pid = fork()
+        children.append(pid)
+        return pid
+
+    def interrupting(pid, sig):
+        kills.append(pid)
+        if len(kills) == 1:
+            signal.raise_signal(signal.SIGINT)
+        kill(pid, sig)
+
+    monkeypatch.setattr(os, "fork", forking)
+    monkeypatch.setattr(os, "kill", interrupting)
+    try:
+        code, _, err = run(capsys, "verify", "--max-size", "3")
+    except KeyboardInterrupt:
+        pytest.fail("the interrupt escaped main()")
+    left = []
+    for pid in children:
+        try:
+            running = os.waitpid(pid, os.WNOHANG)[0] == 0
+        except ChildProcessError:  # reaped by main()
+            continue
+        left.append(pid)
+        if running:
+            kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+    assert (code, err, len(children), left) == (130, "interrupted\n", 2, [])
 
 
 @pytest.mark.parametrize("cores, forks", [(1, 0), (2, 2), (64, 3), (None, 2)])

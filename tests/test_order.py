@@ -1,6 +1,7 @@
 import gc
 import itertools
 import json
+import random
 import sys
 import tracemalloc
 
@@ -24,10 +25,10 @@ from alttamari import (
 )
 from alttamari import oracle, order
 from alttamari.order import NON_LINEAR, LEFT, RIGHT, TRIVIAL, apply_horizontal, apply_vertical
-from alttamari.paths import delta_rotate, excursion_ends, valleys
+from alttamari.paths import box_size, box_vector, delta_rotate, excursion_ends, valleys
 from alttamari.vectors import reduced_column_vector
 
-from conftest import all_base_paths, all_instances, transpose
+from conftest import all_base_paths, all_instances, rank_offset, transpose
 
 
 def lattice_of(word, entries):
@@ -213,8 +214,33 @@ def test_grouped_covers_match_one_rotation_per_valley():
     assert checked == 2584
 
 
-def test_a_build_makes_one_rotation_per_non_top_element(monkeypatch):
-    # one walk per group of valleys, where one per valley would walk once per cover
+def test_a_rotation_moves_the_id_by_the_completions_it_passes():
+    # ids count the paths lexicographically above; the walk to row k lowers p_y..p_{k-1}
+    checked = 0
+    for nu, delta in all_instances(8):
+        elements = enumerate_nu_paths(nu)
+        ids = {mu: i for i, mu in enumerate(elements)}
+        for mu in elements:
+            for y in valleys(mu):
+                offset = ids[delta_rotate(mu, delta, y)] - ids[mu]
+                assert offset == rank_offset(mu, delta, y), (nu.word, delta.entries, mu, y)
+                checked += 1
+    assert checked == 49909
+
+
+def group_blocks(lattice) -> int:
+    """The distinct (y, mu_0..mu_k) over the group paths: each non-top path at its first valley."""
+    delta = lattice.delta
+    prefixes = set()
+    for mu in lattice.elements[:-1]:
+        y = valleys(mu)[0]
+        prefixes.add((y, mu[: excursion_ends(mu, delta, y)[0] + 1]))
+    return len(prefixes)
+
+
+def test_a_build_makes_one_rotation_per_block_of_groups(monkeypatch):
+    # one walk per block of groups sharing their rows through the excursion's end,
+    # where one per group would walk 7,751 times on (NE^2)^7 and one per valley 31,008
     calls = []
     rotate = order.delta_rotate
 
@@ -224,11 +250,28 @@ def test_a_build_makes_one_rotation_per_non_top_element(monkeypatch):
 
     monkeypatch.setattr(order, "delta_rotate", counted)
     lat = build_lattice(IncrementVector.zero(LatticePath("NEE" * 7)))
-    assert (len(calls), len(lat), sum(map(len, lat.upper_covers))) == (7751, 7752, 31008)
+    assert (len(calls), len(lat), sum(map(len, lat.upper_covers))) == (197, 7752, 31008)
     for nu, delta in all_instances(8):
         calls.clear()
         lat = build_lattice(delta)
-        assert len(calls) == len(lat) - 1, (nu.word, delta.entries)
+        assert len(calls) == group_blocks(lat), (nu.word, delta.entries)
+
+
+@pytest.mark.parametrize("pick", ["zero", "maximal", 1, 2, 3])
+def test_benchmark_lattice_covers_match_one_rotation_per_valley(pick):
+    # blocks grow large only on long nu: (NE^2)^7 has 7,752 elements and 31,008 covers;
+    # an integer pick seeds a random delta of its box
+    nu = LatticePath("NEE" * 7)
+    if pick == "zero":
+        delta = IncrementVector.zero(nu)
+    elif pick == "maximal":
+        delta = IncrementVector.maximal(nu)
+    else:
+        delta = box_vector(nu, random.Random(pick).randrange(box_size(nu)))
+    lat = build_lattice(delta)
+    ids = lat._ids
+    expected = [[ids[delta_rotate(mu, delta, y)] for y in valleys(mu)] for mu in lat.elements]
+    assert lat.upper_covers == expected, delta.entries
 
 
 def test_lattices_of_one_nu_share_one_skeleton():

@@ -44,7 +44,7 @@ from alttamari.oracle import (
     oracle_meet,
 )
 
-from conftest import transpose
+from conftest import rank_offset, transpose
 
 MAX_SIZE = 14
 # Lattices built per example stay this small; the unbuilt properties use
@@ -176,9 +176,10 @@ def test_rotations_on_compositions_match_word_rotations(instance):
 
 
 @st.composite
-def mid_instances(draw):
-    # a random delta of a random nu with 9 to 12 steps, at most C(12, 6) = 924 elements
-    size = draw(st.integers(9, 12))
+def mid_instances(draw, max_size=12):
+    # a random delta of a random nu with 9 to max_size steps, at most C(12, 6) = 924
+    # elements at 12 and C(14, 7) = 3,432 at 14
+    size = draw(st.integers(9, max_size))
     nu = LatticePath(draw(st.text(alphabet="NE", min_size=size, max_size=size)))
     entries = tuple(draw(st.integers(0, c)) for c in nu.composition[1:])
     return IncrementVector(entries, nu)
@@ -193,6 +194,16 @@ def test_grouped_covers_match_one_rotation_per_valley_past_size_8(delta):
         for mu in lattice.elements
     ]
     assert lattice.upper_covers == expected
+
+
+@settings(max_examples=40)
+@given(mid_instances(MAX_SIZE), st.data())
+def test_a_rotation_moves_the_id_by_the_completions_it_passes_past_size_8(delta, data):
+    ids = {mu: i for i, mu in enumerate(enumerate_nu_paths(delta.nu))}
+    for _ in range(SAMPLED_PAIRS):
+        mu = data.draw(paths_above(delta.nu))
+        for y in valleys(mu):
+            assert ids[delta_rotate(mu, delta, y)] - ids[mu] == rank_offset(mu, delta, y), (mu, y)
 
 
 @settings(max_examples=40)
