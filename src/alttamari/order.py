@@ -37,10 +37,11 @@ So a lattice of N elements has N - 1 groups, each named by the id of that
 path.
 
 Most groups share their offset too, as ids are ranks.  Canonical order is
-decreasing lexicographic order, so with p_j the east steps of mu through
-row j and c = ``counting._rows(nu).completions`` (c[j][x] counts the ways
-on from x east steps before row j), id(mu) = sum_j sum_{z > p_j} c[j+1][z].
-The rotation ending on row k lowers p_y..p_{k-1} by one, so
+decreasing lexicographic order, so with p_j and b_j the east steps of mu
+and of nu through row j and c = ``counting._rows(nu).completions``
+(c[j][x] counts the ways on from x east steps before row j),
+id(mu) = sum_j sum_{p_j < z <= b_j} c[j+1][z] = sum_j c[j][p_j + 1], a
+term being 0 when p_j = b_j.  The rotation ending on row k lowers p_y..p_{k-1} by one, so
 id(rotated) - id(mu) = sum_{j=y}^{k-1} c[j+1][p_j], which reads only y,
 x = p_y and mu_{y+1..k}.  The group paths that share that prefix through
 row k are the paths with it, a run of c[k+1][p_k] consecutive ids (one

@@ -26,9 +26,9 @@ that reaches row n ends there, whatever delta_n is, because for mu weakly
 above nu, sum_{i>j} delta_i <= sum_{i>j} nu_i <= sum_{i>j} mu_i; so
 delta_n changes no rotation, and deltas that differ only there give one
 lattice.  When the excursion ends with row k's last east step, the next
-excursion starts right after it; :func:`excursion_ends` walks this run of
-consecutive excursions for the census, and :func:`delta_rotate` walks only
-to the first end.  :func:`delta_rotate` checks the domain of both walks.
+excursion starts right after it.  :func:`excursion_ends` is the one walk of
+this run of consecutive excursions and checks its domain; the census reads
+every end, and :func:`delta_rotate` the first.
 
 An increment vector carries its base path, so delta alone fixes the
 lattice, its region and its ambient base; no function takes nu beside it.
@@ -288,12 +288,19 @@ def excursion_ends(composition: tuple[int, ...], delta: IncrementVector, row: in
     that many east steps.  Otherwise row k's east steps take mu_k off the
     elevation and the walk goes on.  An excursion that ends with the last
     east step of row k < n is followed by the next one, which starts with
-    the north step leaving row k; :func:`delta_rotate` checks the domain.
+    the north step leaving row k.
     """
-    delta_rotate(composition, delta, row)
+    entries = delta.entries
+    if len(composition) != len(entries) + 1:
+        raise ContractError(
+            f"composition {composition} has {len(composition)} entries, "
+            f"base has {len(entries)} north steps"
+        )
+    if not (0 <= row < len(entries) and composition[row] > 0):
+        raise ContractError(f"the end of row {row} of {composition} is not a valley")
     ends: list[int] = []
     elevation = 0
-    for k, d in enumerate(delta.entries[row:], start=row + 1):
+    for k, d in enumerate(entries[row:], start=row + 1):
         elevation += d
         if elevation > composition[k]:
             elevation -= composition[k]
@@ -302,38 +309,21 @@ def excursion_ends(composition: tuple[int, ...], delta: IncrementVector, row: in
         if elevation < composition[k]:
             break
         elevation = 0
+    if not ends:
+        raise ContractError(f"elevation never returns to zero after row {row} of {composition}")
     return tuple(ends)
 
 
 def delta_rotate(composition: tuple[int, ...], delta: IncrementVector, row: int) -> tuple[int, ...]:
     """Rotate at the valley ending row ``row``: one east step moves up to the excursion's end.
 
-    The end is the first of :func:`excursion_ends`, which lists every end
-    of the run; this walk restates that rule but stops at the first end
-    (elevation at most mu_k) and builds no list of ends.  It checks the domain
-    of both walks inline: when a ~13 ms (NE^2)^7 build made 7,751 rotations, one
-    shared walk cost 1.3-1.9 ms and a shared check helper alone 0.2-0.4 ms.  A
-    build now makes one per block of cover groups, 197 to 3,618 of them there.
+    The end is the first of :func:`excursion_ends`, which checks the domain.
     """
-    entries = delta.entries
-    n = len(entries)
-    if len(composition) != n + 1:
-        raise ContractError(
-            f"composition {composition} has {len(composition)} entries, "
-            f"base has {n} north steps"
-        )
-    if not (0 <= row < n and composition[row] > 0):
-        raise ContractError(f"the end of row {row} of {composition} is not a valley")
-    elevation = 0
-    for k in range(row + 1, n + 1):
-        elevation += entries[k - 1]
-        if elevation <= composition[k]:
-            rotated = list(composition)
-            rotated[row] -= 1
-            rotated[k] += 1
-            return tuple(rotated)
-        elevation -= composition[k]
-    raise ContractError(f"elevation never returns to zero after row {row} of {composition}")
+    end = excursion_ends(composition, delta, row)[0]
+    rotated = list(composition)
+    rotated[row] -= 1
+    rotated[end] += 1
+    return tuple(rotated)
 
 
 def ambient_base(delta: IncrementVector) -> LatticePath:

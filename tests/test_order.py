@@ -1,6 +1,7 @@
 import gc
 import itertools
 import json
+import math
 import random
 import sys
 import tracemalloc
@@ -24,8 +25,16 @@ from alttamari import (
     transport_right_interval,
 )
 from alttamari import oracle, order
+from alttamari.counting import _rows
 from alttamari.order import NON_LINEAR, LEFT, RIGHT, TRIVIAL, apply_horizontal, apply_vertical
-from alttamari.paths import box_size, box_vector, delta_rotate, excursion_ends, valleys
+from alttamari.paths import (
+    box_size,
+    box_vector,
+    delta_rotate,
+    excursion_ends,
+    reverse_path,
+    valleys,
+)
 from alttamari.vectors import reduced_column_vector
 
 from conftest import all_base_paths, all_instances, rank_offset, transpose
@@ -212,6 +221,25 @@ def test_grouped_covers_match_one_rotation_per_valley():
         assert lat.upper_covers == expected, (nu.word, delta.entries)
         checked += 1
     assert checked == 2584
+
+
+def test_an_id_counts_the_paths_lexicographically_above():
+    # with p_j mu's east steps and b_j nu's through row j, and c the completions,
+    # id(mu) = sum_j sum_{p_j < z <= b_j} c[j+1][z] = sum_j c[j][p_j + 1], a term being
+    # 0 when p_j = b_j; without the bound z <= b_j, the one path of NE would get id 1
+    checked = 0
+    for nu in all_base_paths(8):
+        c, b = _rows(nu).completions, nu.east_prefixes
+        lat = build_lattice(IncrementVector.zero(nu))
+        for mu in lat.elements:
+            p = list(itertools.accumulate(mu))
+            bounded = sum(c[j + 1][z] for j in range(nu.n) for z in range(p[j] + 1, b[j] + 1))
+            closed = sum(c[j][p[j] + 1] for j in range(nu.n + 1) if p[j] < b[j])
+            assert lat.element_id(mu) == bounded == closed, (nu.word, mu)
+            checked += 1
+    assert checked == 6917
+    ne = _rows(LatticePath("NE")).completions
+    assert sum(ne[1][1:]) == 1
 
 
 def test_a_rotation_moves_the_id_by_the_completions_it_passes():
@@ -554,3 +582,41 @@ def test_a_padded_word_has_its_cores_lattices():
         core = LatticePath(nu.word.lstrip("N").rstrip("E"))
         assert orders(nu) == orders(core), nu.word
         assert census_by_paths(nu) == census_by_paths(core), nu.word
+
+
+def interval_total(delta: IncrementVector) -> int:
+    """The number of intervals a <= b of the lattice, read off its whole order."""
+    return sum(row.bit_count() for row in build_lattice(delta).down)
+
+
+def baxter(n: int) -> int:
+    """The Baxter number B(n) (Chung, Graham, Hoggatt and Kleiman 1978)."""
+    return sum(
+        math.comb(n + 1, k - 1) * math.comb(n + 1, k) * math.comb(n + 1, k + 1)
+        for k in range(1, n + 1)
+    ) // (math.comb(n + 1, 1) * math.comb(n + 1, 2))
+
+
+def test_interval_totals_at_both_ends_of_the_box_have_classic_counts():
+    # Summed over every word of length L, the intervals of the nu-Tamari lattices (delta
+    # maximal) number 2(3L+3)!/((L+2)!(2L+3)!) (Fang and Preville-Ratelle 2017), and those
+    # of the nu-Dyck lattices (delta = 0), triples of nested paths, B(L+1) (Dulucq and
+    # Guibert 1998).  A word and its reversal have dual nu-Tamari lattices, and the
+    # half-turn of the grid maps their nu-Dyck lattices onto each other.
+    tamari, dyck = {}, {}
+    for nu in all_base_paths(9):
+        tamari[nu.word] = interval_total(IncrementVector.maximal(nu))
+        dyck[nu.word] = interval_total(IncrementVector.zero(nu))
+    for word in tamari:
+        mirrored = reverse_path(LatticePath(word)).word
+        assert (tamari[word], dyck[word]) == (tamari[mirrored], dyck[mirrored]), word
+    for size in range(10):
+        words = [word for word in tamari if len(word) == size]
+        assert sum(tamari[w] for w in words) == (
+            2 * math.factorial(3 * size + 3)
+            // (math.factorial(size + 2) * math.factorial(2 * size + 3))
+        ), size
+        assert sum(dyck[w] for w in words) == baxter(size + 1), size
+    # all intervals, unlike the linear ones, move with delta
+    words = [word for word in tamari if len(word) == 4]
+    assert (sum(tamari[w] for w in words), sum(dyck[w] for w in words)) == (91, 92)

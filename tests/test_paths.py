@@ -157,7 +157,7 @@ def refused(call, *args) -> str:
 
 
 def test_rotation_rejects_non_valley(eneen):
-    # excursion_ends has the domain of delta_rotate, which checks it for both
+    # delta_rotate is the first end of excursion_ends, which checks the domain for both
     d10 = IncrementVector((1, 0), eneen)
     for walk in (delta_rotate, excursion_ends):
         # the last row ends the path
@@ -179,7 +179,7 @@ def test_rotation_rejects_compositions_outside_its_domain(eneen):
 
 
 def test_rotation_stops_at_the_first_excursion_end():
-    # delta_rotate restates the walk of excursion_ends up to its first end
+    # delta_rotate moves one east step to the first end of excursion_ends
     for nu in all_base_paths(7):
         for delta in increment_box(nu):
             for mu in enumerate_nu_paths(nu):
