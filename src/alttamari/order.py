@@ -2,11 +2,17 @@
 
 The lattice on the nu-paths has one cover per valley of each element,
 given by the delta-rotation at that valley.  Elements are the paths'
-compositions, indexed in the canonical enumeration order, which is a
-linear extension (the base path gets id 0, the top path the last id), so
-the reachability closure is a single sweep over the elements' upper
-cover lists and the order queries reduce to bit tricks on its rows.
-Words are spelled out only for export.
+compositions, and an id is a rank in the canonical enumeration order:
+decreasing lexicographic order, a linear extension in which the base
+path gets id 0 and the top path the last id.  So the reachability
+closure is a single sweep over the elements' upper cover lists, and the
+order queries reduce to bit tricks on its rows.  With p_j and b_j the
+east steps of mu and of nu through row j and c =
+``counting._rows(nu).completions`` (c[j][x] counts the ways on from x
+east steps before row j), id(mu) = sum_j sum_{p_j < z <= b_j} c[j+1][z]
+= sum_j c[j][p_j + 1], a term being 0 when p_j = b_j.  That sum
+(:func:`_rank`) is the only definition of an id; no map from paths to
+ids is kept.  Words are spelled out only for export.
 
 The lattice laws are checked by meets alone, with the classic criterion:
 a finite poset with a top in which every two elements have a meet is a
@@ -14,11 +20,11 @@ lattice (Davey and Priestley, *Introduction to Lattices and Order*, 2nd
 ed., ch. 2), since the join of a and b is then the meet of their common
 upper bounds, which the top makes a non-empty set.
 
-Every delta of one nu orders the same elements, so the elements, their ids
-and their cover groups are enumerated once per nu and shared by all of that
-nu's lattices (:func:`_skeleton`); a lattice builds only its upper covers
-and one closure of its order, ``down`` (:func:`down_closure`), from which
-every order query is read.
+Every delta of one nu orders the same elements, so the elements, their
+rank table and their cover groups are made once per nu and shared by all
+of that nu's lattices (:func:`_skeleton`); a lattice builds only its
+upper covers and one closure of its order, ``down`` (:func:`down_closure`),
+from which every order query is read.
 
 A cover is one rotation walk, and most walks repeat.  The rotation at the
 valley ending row y of mu moves one east step from row y up to the row k
@@ -36,19 +42,13 @@ top has a first row y < n with an east step, and that row ends a valley.
 So a lattice of N elements has N - 1 groups, each named by the id of that
 path.
 
-Most groups share their offset too, as ids are ranks.  Canonical order is
-decreasing lexicographic order, so with p_j and b_j the east steps of mu
-and of nu through row j and c = ``counting._rows(nu).completions``
-(c[j][x] counts the ways on from x east steps before row j),
-id(mu) = sum_j sum_{p_j < z <= b_j} c[j+1][z] = sum_j c[j][p_j + 1], a
-term being 0 when p_j = b_j.  The rotation ending on row k lowers p_y..p_{k-1} by one, so
-id(rotated) - id(mu) = sum_{j=y}^{k-1} c[j+1][p_j], which reads only y,
-x = p_y and mu_{y+1..k}.  The group paths that share that prefix through
-row k are the paths with it, a run of c[k+1][p_k] consecutive ids (one
-when k = n).  So a build walks the first group path of each such block
-and gives its offset to the whole block.  Of the 7,751 groups of
-(NE^2)^7, a build walks 197 at delta = 0, 3,618 at the maximal delta and
-927 at the median of its 2,187 deltas.
+Most groups share their offset too.  The rotation ending on row k lowers
+p_y..p_{k-1} by one, so id(rotated) - id(mu) = sum_{j=y}^{k-1} c[j+1][p_j],
+which reads only y, p_y and mu_{y+1..k}.  The group paths that share
+that prefix through row k are the paths with it, a run of c[k+1][p_k]
+consecutive ids (one when k = n).  So a build walks the first group path
+of each such block and gives its offset, id(rotated) minus its own id, to
+the whole block: 197 walks for the 7,751 groups of (NE^2)^7 at delta = 0.
 
 Non-trivial linear intervals split into left intervals and right
 intervals; :mod:`alttamari.counting` counts both on paths.  On trees a
@@ -62,8 +62,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, reduce
-from types import MappingProxyType
-from typing import Mapping
+from itertools import accumulate
+from operator import getitem
 
 from .counting import Census, LatticeLawError, _rows, census_for
 from .paths import (
@@ -72,7 +72,7 @@ from .paths import (
     LatticePath,
     delta_rotate,
     enumerate_nu_paths,
-    valleys,
+    is_weakly_above,
 )
 from .trees import (
     GridTree,
@@ -124,39 +124,40 @@ class IntervalRecord:
 
 
 @lru_cache(maxsize=16)
-def _skeleton(nu: LatticePath) -> tuple[tuple, Mapping, tuple, tuple, tuple]:
-    """The paths weakly above nu in canonical order, their ids, lows, cover groups and completions.
+def _skeleton(nu: LatticePath) -> tuple[tuple, tuple, tuple, tuple, tuple]:
+    """The paths weakly above nu in canonical order, their ids, lows, cover groups and rank table.
 
-    ``lows[r]`` is the first row with an east step of path r, for every
-    path r but the top.  ``groups[i]`` names the group of each valley of
-    path i, in valley order.  The valley ending row y is in group r when
-    path r is (0, ..., 0, x, mu_{y+1}, ..., mu_n), x being mu's east steps
-    through row y.  Its cover has the id offset of path r's rotation at
-    row ``lows[r]`` (module docstring), which it shares with a block of
-    paths counted by ``completions``, the table of :func:`alttamari.counting._rows`.
-
-    The first valley of mu is in mu's own group.  Moving the east steps of
-    mu's first valley row up to its second gives a path with the valleys
-    of mu but the first, and the same x and suffix at each, so the same
-    groups.  That path comes later in canonical order, so a walk from the
-    top down finds its groups made, and takes one lookup per path.
+    The ids are ``tuple(range(N))``, whose ints groups and covers hold;
+    ``table[j][x]`` is c[j][x + 1], or 0 when x = b_j (:func:`_rank`).
+    ``lows[r]`` is the first row with an east step of each path r but the
+    top.  ``groups[i]`` names the groups of path i's valleys in order: the
+    one ending row y is in the group of (0, ..., 0, p_y, mu_{y+1}, ..., mu_n),
+    of rank heads[y] + sum_{j>=y} table[j][p_j] with heads[y] =
+    sum_{j<y} table[j][0], and one pass down mu's rows sums those tails.
     """
     elements = tuple(enumerate_nu_paths(nu))
-    ids = {mu: i for i, mu in enumerate(elements)}
-    lows, groups = [], [()] * len(elements)
-    for mu, i in reversed(ids.items()):
-        rows = valleys(mu)
-        if not rows:  # the top
-            continue
-        y = rows[0]
-        lows.append(y)
-        if len(rows) == 1:
-            groups[i] = (i,)
-        else:
-            z = rows[1]
-            groups[i] = (i,) + groups[ids[(0,) * z + (mu[y] + mu[z],) + mu[z + 1 :]]]
-    lows.reverse()
-    return elements, MappingProxyType(ids), tuple(lows), tuple(groups), _rows(nu).completions
+    ranks = tuple(range(len(elements)))
+    table = tuple(row[1:] + (0,) for row in _rows(nu).completions)
+    heads = tuple(accumulate((row[0] for row in table), initial=0))
+    m, n = nu.m, nu.n
+    lows, groups = [], []
+    for mu in elements:
+        slots, tail, p = [], 0, m - mu[n]
+        for y in range(n - 1, -1, -1):
+            tail += table[y][p]
+            if mu[y]:  # the valley ending row y
+                slots.append(ranks[heads[y] + tail])
+                p -= mu[y]
+                low = y
+        if slots:
+            lows.append(low)
+        groups.append(tuple(reversed(slots)))
+    return elements, ranks, tuple(lows), tuple(groups), table
+
+
+def _rank(table: tuple, mu: tuple[int, ...]) -> int:
+    """The id of path mu, sum_j table[j][p_j] with p_j its east steps through row j."""
+    return sum(map(getitem, table, accumulate(mu)))
 
 
 def down_closure(uppers: list[list[int]]) -> list[int]:
@@ -179,21 +180,20 @@ def down_closure(uppers: list[list[int]]) -> list[int]:
 class FiniteLattice:
     """One alt nu-Tamari lattice: its elements, upper covers and ``down`` closure.
 
-    The elements, their ids and cover groups are shared with every lattice
-    of the same nu.  ``upper_covers[i]`` holds the ids of the
+    The elements, their rank table and cover groups are shared with every
+    lattice of the same nu.  ``upper_covers[i]`` holds the ids of the
     delta-rotations of element i in valley order.  Each is i plus its
-    group's offset.  That offset is a sum of completion counts that reads
-    only the rows up to the excursion's end, so a block of consecutive
-    groups shares it, and one rotation per block gives it (module
-    docstring).  ``down`` is closed from them; ``down[j]`` holds the
-    elements below j, and every order query reads it.  The sorted cover
-    triples and the trees are derived on first read.
+    group's offset, which a block of consecutive groups shares and one
+    rotation per block gives (module docstring).  ``down`` is closed from
+    them; ``down[j]`` holds the elements below j, and every order query
+    reads it.  The sorted cover triples and the trees are derived on first
+    read.
     """
 
     def __init__(self, delta: IncrementVector):
         self.delta = delta
-        elements, ids, lows, groups, completions = _skeleton(delta.nu)
-        self.elements, self._ids = elements, ids
+        elements, ranks, lows, groups, table = _skeleton(delta.nu)
+        self.elements, self._table = elements, table
         n, offsets, r = len(delta.entries), [], 0
         while r < len(lows):  # r starts a block of groups
             mu, y = elements[r], lows[r]
@@ -201,11 +201,10 @@ class FiniteLattice:
             k = y + 1  # the row the east step moved up to
             while rotated[k] == mu[k]:
                 k += 1
-            size = completions[k + 1][sum(mu[: k + 1])] if k < n else 1
-            offsets += [ids[rotated] - r] * size
+            # c[k + 1][p_k]: p_k >= mu_y > 0, and p_k <= b_k <= b_{k + 1}
+            size = table[k + 1][sum(mu[: k + 1]) - 1] if k < n else 1
+            offsets += [_rank(table, rotated) - r] * size
             r += size
-        # the covers hold the id objects of ``ids``, not one new int each
-        ranks = tuple(ids.values())
         self.upper_covers: list[list[int]] = [
             [ranks[i + offsets[r]] for r in slots] for i, slots in enumerate(groups)
         ]
@@ -217,10 +216,10 @@ class FiniteLattice:
         return len(self.elements)
 
     def element_id(self, mu: tuple[int, ...]) -> int:
-        try:
-            return self._ids[tuple(mu)]
-        except KeyError:
-            raise ContractError(f"{tuple(mu)} is not an element of this lattice") from None
+        mu = tuple(mu)
+        if not is_weakly_above(mu, self.delta.nu.composition):
+            raise ContractError(f"{mu} is not an element of this lattice")
+        return _rank(self._table, mu)
 
     @property
     def bottom(self) -> int:

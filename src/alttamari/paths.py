@@ -34,7 +34,8 @@ An increment vector carries its base path, so delta alone fixes the
 lattice, its region and its ambient base; no function takes nu beside it.
 The ballot check (:func:`ballot_violation`), which characterizes nu-paths
 and row and column vectors, and the valley rule (:func:`valleys`) live
-here and nowhere else.
+here; ``order._skeleton`` reads the same rows in its pass over each path,
+and ``test_grouped_covers_match_one_rotation_per_valley`` holds it to them.
 """
 
 from __future__ import annotations

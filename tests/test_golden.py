@@ -8,7 +8,10 @@ stdout and stderr must equal ``golden/<name>.stdout`` and
     PYTHONPATH=src python tests/test_golden.py
 
 which reruns every command and overwrites them.  A change to a golden
-file is a change of the program's output, and needs a reason.  Exit code
+file is a change of the program's output, and needs a reason.  The tree
+file ``golden/flush_tree.json`` is an input, not an output: it is the
+``--out`` file of the ``flush_path`` command, and ``flush_tree`` reads it
+back, the second half of the round trip.  Exit code
 4 is pinned by the fault-injection tests in ``test_cli.py``, since no
 well-formed input breaches an invariant of working code.
 """
@@ -39,10 +42,14 @@ COMMANDS: dict[str, tuple[str, ...]] = {
     "lattice_dot": ("lattice", "--nu", "ENEEN", "--delta", "1,0", "--format", "dot"),
     "lattice_dot_nee3": ("lattice", "--nu", "NEENEENEE", "--delta", "2,1,0", "--format", "dot"),
     "verify_sweep_sample": ("verify", "--max-size", "7", "--sample", "3", "--seed", "5"),
+    "verify_sweep_8": ("verify", "--max-size", "8"),
     "verify_nu": ("verify", "--nu", "NEENEENEENEE"),
     "transport_h": TRANSPORT + ("--direction", "h"),
     "transport_v": TRANSPORT + ("--direction", "v"),
     "flush_path": ("flush", "--nu", "ENEEN", "--delta", "2,0", "--path", "NEENE"),
+    "flush_tree": (
+        "flush", "--nu", "ENEEN", "--delta", "2,0", "--tree", str(GOLDEN / "flush_tree.json"),
+    ),
     "mtamari_check": ("mtamari-check", "--m", "2", "--n", "6"),
     "usage_error": ("lattice", "--nu", "ENEEN", "--delta", "3,0"),
     "validation_error": ("flush", "--nu", "ENEEN", "--delta", "2,0", "--path", "EENEN"),

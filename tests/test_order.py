@@ -216,7 +216,7 @@ def test_grouped_covers_match_one_rotation_per_valley():
     checked = 0
     for nu, delta in all_instances(8):
         lat = build_lattice(delta)
-        ids = lat._ids
+        ids = {mu: i for i, mu in enumerate(lat.elements)}
         expected = [[ids[delta_rotate(mu, delta, y)] for y in valleys(mu)] for mu in lat.elements]
         assert lat.upper_covers == expected, (nu.word, delta.entries)
         checked += 1
@@ -231,11 +231,11 @@ def test_an_id_counts_the_paths_lexicographically_above():
     for nu in all_base_paths(8):
         c, b = _rows(nu).completions, nu.east_prefixes
         lat = build_lattice(IncrementVector.zero(nu))
-        for mu in lat.elements:
+        for i, mu in enumerate(lat.elements):
             p = list(itertools.accumulate(mu))
             bounded = sum(c[j + 1][z] for j in range(nu.n) for z in range(p[j] + 1, b[j] + 1))
             closed = sum(c[j][p[j] + 1] for j in range(nu.n + 1) if p[j] < b[j])
-            assert lat.element_id(mu) == bounded == closed, (nu.word, mu)
+            assert lat.element_id(mu) == i == bounded == closed, (nu.word, mu)
             checked += 1
     assert checked == 6917
     ne = _rows(LatticePath("NE")).completions
@@ -297,7 +297,7 @@ def test_benchmark_lattice_covers_match_one_rotation_per_valley(pick):
     else:
         delta = box_vector(nu, random.Random(pick).randrange(box_size(nu)))
     lat = build_lattice(delta)
-    ids = lat._ids
+    ids = {mu: i for i, mu in enumerate(lat.elements)}
     expected = [[ids[delta_rotate(mu, delta, y)] for y in valleys(mu)] for mu in lat.elements]
     assert lat.upper_covers == expected, delta.entries
 
@@ -620,3 +620,36 @@ def test_interval_totals_at_both_ends_of_the_box_have_classic_counts():
     # all intervals, unlike the linear ones, move with delta
     words = [word for word in tamari if len(word) == 4]
     assert (sum(tamari[w] for w in words), sum(dyck[w] for w in words)) == (91, 92)
+
+
+def test_interval_totals_of_single_lattices_have_classic_counts():
+    # delta maximal on (NE)^n is the Tamari lattice, 2(4n+1)!/((n+1)!(3n+2)!) intervals
+    # (Chapoton 2006); delta = 0 on (NE)^n is the Stanley lattice of Dyck paths,
+    # 6(2n)!(2n+2)!/(n!(n+1)!(n+2)!(n+3)!) intervals (de Sainte-Catherine and Viennot 1986);
+    # delta maximal on (NE^m)^n is the m-Tamari lattice, (m+1)/(n(mn+1)) C((m+1)^2 n + m, n-1)
+    # intervals (Bousquet-Melou, Fusy and Preville-Ratelle 2011)
+    f = math.factorial
+    for n in range(1, 7):
+        nu = LatticePath("NE" * n)
+        assert interval_total(IncrementVector.maximal(nu)) == (
+            2 * f(4 * n + 1) // (f(n + 1) * f(3 * n + 2))
+        ), n
+        assert interval_total(IncrementVector.zero(nu)) == (
+            6 * f(2 * n) * f(2 * n + 2) // (f(n) * f(n + 1) * f(n + 2) * f(n + 3))
+        ), n
+    for m in (2, 3):
+        for n in range(1, 6):
+            nu = LatticePath(("N" + "E" * m) * n)
+            assert interval_total(IncrementVector.maximal(nu)) == (
+                (m + 1) * math.comb((m + 1) ** 2 * n + m, n - 1) // (n * (m * n + 1))
+            ), (m, n)
+
+
+def test_element_id_rejects_non_elements_and_ranks_elements():
+    lat = lattice_of("ENEEN", (1, 0))
+    for mu in [(2, 1, 0), (1, 2), (1, 2, 0, 0), (1, 1, 0), (1, 3, -1)]:
+        # below nu, too short, too long, a wrong total and a negative entry
+        with pytest.raises(ContractError, match="is not an element of this lattice"):
+            lat.element_id(mu)
+    for i, mu in enumerate(lat.elements):
+        assert lat.element_id(list(mu)) == i

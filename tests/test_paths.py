@@ -16,7 +16,7 @@ from alttamari import (
     reverse_path,
     valleys,
 )
-from alttamari.oracle import count_paths_above, naive_rotations
+from alttamari.oracle import _excursion_end, count_paths_above, naive_rotations
 from alttamari.paths import box_size, box_vector, excursion_ends, is_weakly_above
 
 from conftest import all_base_paths
@@ -178,17 +178,32 @@ def test_rotation_rejects_compositions_outside_its_domain(eneen):
         )
 
 
-def test_rotation_stops_at_the_first_excursion_end():
-    # delta_rotate moves one east step to the first end of excursion_ends
+def chained_excursion_ends(word: str, row: int, increments: tuple[int, ...]) -> tuple[int, ...]:
+    """The rows where the excursions of the word end, chained from the north step leaving ``row``.
+
+    Each excursion is the oracle's, from a north step to where the elevation
+    first returns to zero; the next starts there if the next step is north.
+    """
+    norths = [i for i, step in enumerate(word) if step == "N"]
+    ends, start = [], norths[row]
+    while start < len(word) and word[start] == "N":
+        end = _excursion_end(word, start, increments)
+        ends.append(word[:end].count("N"))
+        start = end
+    return tuple(ends)
+
+
+def test_excursion_ends_match_the_chained_oracle_excursions():
+    checked = 0
     for nu in all_base_paths(7):
         for delta in increment_box(nu):
             for mu in enumerate_nu_paths(nu):
+                word = LatticePath.from_composition(mu).word
                 for row in valleys(mu):
-                    end = excursion_ends(mu, delta, row)[0]
-                    expected = list(mu)
-                    expected[row] -= 1
-                    expected[end] += 1
-                    assert delta_rotate(mu, delta, row) == tuple(expected)
+                    expected = chained_excursion_ends(word, row, delta.entries)
+                    assert excursion_ends(mu, delta, row) == expected, (nu.word, delta, mu, row)
+                    checked += 1
+    assert checked == 9554
 
 
 def test_rotations_raise_area_and_stay_above():
