@@ -195,21 +195,21 @@ def _report(verdict: tuple[list[str], str]) -> int:
 def _cross_check(nu: LatticePath) -> list[str]:
     """Lattice laws of each distinct order among the deltas of nu; the oracle mismatch lines.
 
-    The laws and the oracle read only a lattice's covers (the laws through
-    ``down``, which the covers fix), so each distinct cover list is checked
-    once and its verdict stands for every delta that has it. The oracle
-    census is held to ``census_by_paths``, and each delta whose order fails
-    gets its own line, in box order.
+    The laws (through ``down``) and the oracle read only a lattice's covers,
+    which its offsets fix, and vice versa: the groups are fixed per nu and each
+    holds a path.  So each distinct offset list is checked once, and its verdict
+    stands for every delta that has it.  The oracle census is held to
+    ``census_by_paths``; each delta whose order fails gets a line, in box order.
     """
     expected = census_by_paths(nu).totals
     verdicts: dict[tuple, bool] = {}
     mismatches = []
     for delta in increment_box(nu):
         lattice = build_lattice(delta)
-        key = tuple(map(tuple, lattice.upper_covers))
+        key = tuple(lattice.offsets)
         if key not in verdicts:
             lattice.check_lattice_laws()
-            covers = [(low, high) for low, highs in enumerate(key) for high in highs]
+            covers = [(i, j) for i, highs in enumerate(lattice.upper_covers) for j in highs]
             census = oracle.oracle_census(oracle.closure_from_covers(len(lattice), covers))
             verdicts[key] = census == expected
         if not verdicts[key]:

@@ -5,7 +5,7 @@ given by the delta-rotation at that valley.  Elements are the paths'
 compositions, and an id is a rank in the canonical enumeration order:
 decreasing lexicographic order, a linear extension in which the base
 path gets id 0 and the top path the last id.  So the reachability
-closure is a single sweep over the elements' upper cover lists, and the
+closure is a single bottom-up sweep over the covers, and the
 order queries reduce to bit tricks on its rows.  With p_j and b_j the
 east steps of mu and of nu through row j and c =
 ``counting._rows(nu).completions`` (c[j][x] counts the ways on from x
@@ -22,9 +22,9 @@ upper bounds, which the top makes a non-empty set.
 
 Every delta of one nu orders the same elements, so the elements, their
 rank table and their cover groups are made once per nu and shared by all
-of that nu's lattices (:func:`_skeleton`); a lattice builds only its
-upper covers and one closure of its order, ``down`` (:func:`down_closure`),
-from which every order query is read.
+of that nu's lattices (:func:`_skeleton`); a lattice keeps only each
+group's id offset and one closure of its order, ``down``
+(:func:`down_closure`), from which every order query is read.
 
 A cover is one rotation walk, and most walks repeat.  The rotation at the
 valley ending row y of mu moves one east step from row y up to the row k
@@ -160,40 +160,36 @@ def _rank(table: tuple, mu: tuple[int, ...]) -> int:
     return sum(map(getitem, table, accumulate(mu)))
 
 
-def down_closure(uppers: list[list[int]]) -> list[int]:
-    """The ``down`` rows, closed in one sweep over the upper cover lists.
+def down_closure(groups: tuple, offsets: list[int]) -> list[int]:
+    """The ``down`` rows, closed in one sweep over the cover groups and their offsets.
 
-    Bit i of row j is set when i <= j.  Every row is seeded with its own
-    bit first, and the sweep only pushes each row, once it is reached, into
-    the rows of its upper covers.  Canonical order is a linear extension:
-    covers go from lower to higher ids.  Sweeping bottom-up, every lower
-    cover of i has already pushed its final row into i's, so i's row is
-    complete when it is reached.
+    Bit i of row j is set when i <= j.  Each row starts as its own bit and,
+    once reached, is pushed into rows i + ``offsets[r]``, its upper covers,
+    for each group r of i.  Covers go up in id (canonical order is a linear
+    extension), so sweeping bottom-up, every lower cover of i has pushed its
+    final row into i's before i is reached.
     """
-    down = [1 << i for i in range(len(uppers))]
-    for row, highs in zip(down, uppers):
-        for j in highs:
-            down[j] |= row
+    down = [1 << i for i in range(len(groups))]
+    for i, (row, slots) in enumerate(zip(down, groups)):
+        for r in slots:
+            down[i + offsets[r]] |= row
     return down
 
 
 class FiniteLattice:
-    """One alt nu-Tamari lattice: its elements, upper covers and ``down`` closure.
+    """One alt nu-Tamari lattice: its elements, cover offsets and ``down`` closure.
 
     The elements, their rank table and cover groups are shared with every
-    lattice of the same nu.  ``upper_covers[i]`` holds the ids of the
-    delta-rotations of element i in valley order.  Each is i plus its
-    group's offset, which a block of consecutive groups shares and one
-    rotation per block gives (module docstring).  ``down`` is closed from
-    them; ``down[j]`` holds the elements below j, and every order query
-    reads it.  The sorted cover triples and the trees are derived on first
-    read.
+    lattice of the same nu.  ``offsets[r]``, the id offset of group r's
+    covers, is shared by a block of groups and read off one rotation
+    (module docstring).  Every order query reads ``down[j]``, the elements
+    below j; cover lists, cover triples and trees are derived on first read.
     """
 
     def __init__(self, delta: IncrementVector):
         self.delta = delta
         elements, ranks, lows, groups, table = _skeleton(delta.nu)
-        self.elements, self._table = elements, table
+        self.elements, self.groups, self._ranks, self._table = elements, groups, ranks, table
         n, offsets, r = len(delta.entries), [], 0
         while r < len(lows):  # r starts a block of groups
             mu, y = elements[r], lows[r]
@@ -205,10 +201,13 @@ class FiniteLattice:
             size = table[k + 1][sum(mu[: k + 1]) - 1] if k < n else 1
             offsets += [_rank(table, rotated) - r] * size
             r += size
-        self.upper_covers: list[list[int]] = [
-            [ranks[i + offsets[r]] for r in slots] for i, slots in enumerate(groups)
-        ]
-        self.down = down_closure(self.upper_covers)
+        self.offsets, self.down = offsets, down_closure(groups, offsets)
+
+    @cached_property
+    def upper_covers(self) -> list[list[int]]:
+        """Each element's delta-rotations in valley order: i plus its groups' offsets."""
+        ranks, offsets = self._ranks, self.offsets
+        return [[ranks[i + offsets[r]] for r in slots] for i, slots in enumerate(self.groups)]
 
     # -- basic queries ------------------------------------------------
 

@@ -5,7 +5,7 @@ from typing import Iterator
 
 import pytest
 
-from alttamari import IncrementVector, LatticePath, increment_box
+from alttamari import IncrementVector, LatticePath, increment_box, oracle
 from alttamari.counting import _rows
 from alttamari.paths import all_base_paths, excursion_ends
 
@@ -26,6 +26,31 @@ def rank_offset(mu: tuple[int, ...], delta: IncrementVector, y: int) -> int:
     prefixes = list(accumulate(mu))
     k = excursion_ends(mu, delta, y)[0]
     return sum(completions[j + 1][prefixes[j]] for j in range(y, k))
+
+
+def count_nested_pairs(nu_word: str) -> int:
+    """The pairs (lower, upper) of paths weakly above nu with upper weakly above lower.
+
+    A two-path dynamic program that shares no code with ``order``.  A path
+    weakly above nu leaves each height y < n by a north step at some
+    x <= reach[y], x never decreasing, and ends at x = m on height n; upper
+    is weakly above lower when it leaves every height at an x no larger.
+    ``ways[u][v]`` counts the pairs of prefixes whose upper and lower paths
+    leave height y at u <= v: the sum of the previous height's counts with
+    both x's no larger, a 2D prefix sum, so the work is O(n m^2).  At
+    delta = 0 the lattice is ordered by "weakly above", so this is its
+    number of intervals a <= b.
+    """
+    reach = oracle._east_reach(nu_word)
+    m = reach[-1]
+    ways = [[int(u <= v <= reach[0]) for v in range(m + 1)] for u in range(m + 1)]
+    for high in reach[1:]:
+        sums, below = [], [0] * (m + 1)
+        for u, row in enumerate(ways):
+            below = [a + b for a, b in zip(below, accumulate(row))]
+            sums.append([total if u <= v <= high else 0 for v, total in enumerate(below)])
+        ways = sums
+    return ways[m][m]
 
 
 def transpose(rows: list[int]) -> list[int]:

@@ -427,6 +427,30 @@ def test_verify_sweep_cross_checks_every_base_word(capsys, monkeypatch, tmp_path
         assert checks == expected
 
 
+def test_the_sweep_key_tells_the_same_orders_apart_as_the_cover_lists(monkeypatch):
+    # the sweep keys an order by its cover offsets: per word, offsets and cover lists pair
+    # off one to one, and the cross-check runs the laws once for each distinct cover list
+    import alttamari.cli
+    from alttamari.order import FiniteLattice, build_lattice
+    from alttamari.paths import all_base_paths, increment_box
+
+    checked, check_lattice_laws = [], FiniteLattice.check_lattice_laws
+
+    def laws(lattice):
+        checked.append(tuple(map(tuple, lattice.upper_covers)))
+        return check_lattice_laws(lattice)
+
+    monkeypatch.setattr(FiniteLattice, "check_lattice_laws", laws)
+    for nu in all_base_paths(7):
+        lattices = [build_lattice(delta) for delta in increment_box(nu)]
+        pairs = {(tuple(lat.offsets), tuple(map(tuple, lat.upper_covers))) for lat in lattices}
+        orders = {covers for _, covers in pairs}
+        assert len({offsets for offsets, _ in pairs}) == len(orders) == len(pairs), nu.word
+        checked.clear()
+        assert alttamari.cli._cross_check(nu) == []
+        assert len(checked) == len(set(checked)) == len(orders), nu.word
+
+
 @pytest.mark.parametrize(
     "argv",
     [

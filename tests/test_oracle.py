@@ -4,7 +4,7 @@ from hypothesis import strategies as st
 
 from alttamari import build_lattice, oracle
 
-from conftest import all_base_paths, all_instances
+from conftest import all_base_paths, all_instances, count_nested_pairs
 
 
 def test_count_paths_examples():
@@ -12,6 +12,17 @@ def test_count_paths_examples():
     assert oracle.count_paths_above("ENEENN") == 16
     assert oracle.count_paths_above("EEEE") == 1
     assert oracle.count_paths_above("") == 1
+
+
+def test_nested_pair_count_matches_the_definition():
+    # upper is weakly above lower when every prefix of upper has at least as many north steps
+    def weakly_above(upper, lower):
+        return all(upper[:k].count("N") >= lower[:k].count("N") for k in range(len(upper)))
+
+    for nu in all_base_paths(7):
+        words = oracle.enumerate_words_above(nu.word)
+        pairs = sum(weakly_above(upper, lower) for upper in words for lower in words)
+        assert count_nested_pairs(nu.word) == pairs, nu.word
 
 
 def test_enumerate_words_matches_count():

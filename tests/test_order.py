@@ -37,7 +37,7 @@ from alttamari.paths import (
 )
 from alttamari.vectors import reduced_column_vector
 
-from conftest import all_base_paths, all_instances, rank_offset, transpose
+from conftest import all_base_paths, all_instances, count_nested_pairs, rank_offset, transpose
 
 
 def lattice_of(word, entries):
@@ -91,11 +91,19 @@ def test_meet_join_against_oracle_scan():
                 assert lat.join(a, b) == oracle.oracle_join(matrix, a, b)
 
 
+def closure_of_covers(size, covers):
+    """``down`` of ids 0..size-1 ordered by the covers, each cover a group of its own.
+
+    Cover r = (low, high) is group r, of offset high - low, listed under low.
+    """
+    groups = [tuple(r for r, (low, _) in enumerate(covers) if low == i) for i in range(size)]
+    return order.down_closure(groups, [high - low for low, high in covers])
+
+
 def poset_from_covers(size, covers):
     """A FiniteLattice over ids 0..size-1 ordered by the given covers, with no delta."""
     poset = order.FiniteLattice.__new__(order.FiniteLattice)
-    poset.upper_covers = [[high for low, high in covers if low == i] for i in range(size)]
-    poset.down = order.down_closure(poset.upper_covers)
+    poset.down = closure_of_covers(size, covers)
     assert poset.down == transpose(oracle.closure_from_covers(size, covers))
     return poset
 
@@ -122,8 +130,7 @@ def test_lattice_laws_reject_a_cyclic_order():
     # 1 and 2 cover each other; poset_from_covers cannot build this, as the oracle refuses cycles
     covers = [(0, 1), (1, 2), (2, 1)]
     poset = order.FiniteLattice.__new__(order.FiniteLattice)
-    poset.upper_covers = [[high for low, high in covers if low == i] for i in range(3)]
-    poset.down = order.down_closure(poset.upper_covers)
+    poset.down = closure_of_covers(3, covers)
     with pytest.raises(LatticeLawError, match="element 2 lies below element 1"):
         poset.check_lattice_laws()
     with pytest.raises(ValueError, match="cycle through elements 1 and 2"):
@@ -285,21 +292,40 @@ def test_a_build_makes_one_rotation_per_block_of_groups(monkeypatch):
         assert len(calls) == group_blocks(lat), (nu.word, delta.entries)
 
 
-@pytest.mark.parametrize("pick", ["zero", "maximal", 1, 2, 3])
-def test_benchmark_lattice_covers_match_one_rotation_per_valley(pick):
-    # blocks grow large only on long nu: (NE^2)^7 has 7,752 elements and 31,008 covers;
-    # an integer pick seeds a random delta of its box
+def benchmark_delta(pick) -> IncrementVector:
+    """A delta of (NE^2)^7: zero, maximal, or seeded at random by an integer pick."""
     nu = LatticePath("NEE" * 7)
     if pick == "zero":
-        delta = IncrementVector.zero(nu)
-    elif pick == "maximal":
-        delta = IncrementVector.maximal(nu)
-    else:
-        delta = box_vector(nu, random.Random(pick).randrange(box_size(nu)))
+        return IncrementVector.zero(nu)
+    if pick == "maximal":
+        return IncrementVector.maximal(nu)
+    return box_vector(nu, random.Random(pick).randrange(box_size(nu)))
+
+
+@pytest.mark.parametrize("pick", ["zero", "maximal", 1, 2, 3])
+def test_benchmark_lattice_covers_match_one_rotation_per_valley(pick):
+    # blocks grow large only on long nu: (NE^2)^7 has 7,752 elements and 31,008 covers
+    delta = benchmark_delta(pick)
     lat = build_lattice(delta)
     ids = {mu: i for i, mu in enumerate(lat.elements)}
     expected = [[ids[delta_rotate(mu, delta, y)] for y in valleys(mu)] for mu in lat.elements]
     assert lat.upper_covers == expected, delta.entries
+
+
+@pytest.mark.parametrize("pick", ["zero", "maximal", 1, 2, 3])
+def test_benchmark_lattice_closure_matches_the_oracle(pick):
+    # down is swept from the groups and offsets alone: a build lists no covers
+    lat = build_lattice(benchmark_delta(pick))
+    assert "upper_covers" not in vars(lat)
+    covers = [(a, b) for a, b, _ in lat.covers]
+    matrix = oracle.closure_from_covers(len(lat), covers)
+    # down == transpose(matrix), in O(N + E) row operations where transposing reads N^2
+    # bits: down holds each id's own bit and each cover's lower row within its upper row,
+    # so it contains the order the covers generate, and the matrix counts that order's pairs
+    down = lat.down
+    assert all(row >> j & 1 for j, row in enumerate(down))
+    assert all(down[a] | down[b] == down[b] for a, b in covers)
+    assert sum(map(int.bit_count, down)) == sum(map(int.bit_count, matrix))
 
 
 def test_lattices_of_one_nu_share_one_skeleton():
@@ -620,6 +646,13 @@ def test_interval_totals_at_both_ends_of_the_box_have_classic_counts():
     # all intervals, unlike the linear ones, move with delta
     words = [word for word in tamari if len(word) == 4]
     assert (sum(tamari[w] for w in words), sum(dyck[w] for w in words)) == (91, 92)
+
+
+def test_interval_totals_at_delta_zero_match_the_two_path_count():
+    # at delta = 0 the order is "weakly above", so the intervals are the nested pairs of
+    # nu-paths, which a two-path count gets row by row without a lattice; larger sizes run in CI
+    for nu in itertools.chain(all_base_paths(10), [LatticePath("NEE" * 7)]):
+        assert interval_total(IncrementVector.zero(nu)) == count_nested_pairs(nu.word), nu
 
 
 def test_interval_totals_of_single_lattices_have_classic_counts():
