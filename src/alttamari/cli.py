@@ -121,11 +121,10 @@ def cmd_lattice(args) -> int:
     elif args.format == "json":
         _emit(json.dumps(lattice.to_json_dict(), indent=2) + "\n", args.out)
     else:
-        lines = [f"nu={nu.word} delta={delta} elements={len(lattice)} covers={len(lattice.covers)}"]
         words = [LatticePath.from_composition(mu).word for mu in lattice.elements]
-        for low, high, valley in lattice.covers:
-            lines.append(f"{words[low]} -> {words[high]} (valley {valley})")
-        _emit("\n".join(lines) + "\n", args.out)
+        lines = [f"{words[low]} -> {words[high]} (valley {k})" for low, high, k in lattice.covers()]
+        header = f"nu={nu.word} delta={delta} elements={len(lattice)} covers={len(lines)}"
+        _emit("\n".join([header, *lines]) + "\n", args.out)
     return 0
 
 
@@ -195,11 +194,11 @@ def _report(verdict: tuple[list[str], str]) -> int:
 def _cross_check(nu: LatticePath) -> list[str]:
     """Lattice laws of each distinct order among the deltas of nu; the oracle mismatch lines.
 
-    The laws (through ``down``) and the oracle read only a lattice's covers,
-    which its offsets fix, and vice versa: the groups are fixed per nu and each
-    holds a path.  So each distinct offset list is checked once, and its verdict
-    stands for every delta that has it.  The oracle census is held to
-    ``census_by_paths``; each delta whose order fails gets a line, in box order.
+    The laws (through ``down``) and the oracle (through ``covers()``) read only
+    a lattice's covers, which its offsets fix, and vice versa: the groups are
+    fixed per nu and each holds a path.  So each distinct offset list is checked
+    once, and its verdict stands for every delta that has it.  The oracle census
+    is held to ``census_by_paths``; each failing delta gets a line, in box order.
     """
     expected = census_by_paths(nu).totals
     verdicts: dict[tuple, bool] = {}
@@ -209,7 +208,7 @@ def _cross_check(nu: LatticePath) -> list[str]:
         key = tuple(lattice.offsets)
         if key not in verdicts:
             lattice.check_lattice_laws()
-            covers = [(i, j) for i, highs in enumerate(lattice.upper_covers) for j in highs]
+            covers = [(low, high) for low, high, _ in lattice.covers()]
             census = oracle.oracle_census(oracle.closure_from_covers(len(lattice), covers))
             verdicts[key] = census == expected
         if not verdicts[key]:

@@ -23,8 +23,8 @@ upper bounds, which the top makes a non-empty set.
 Every delta of one nu orders the same elements, so the elements, their
 rank table and their cover groups are made once per nu and shared by all
 of that nu's lattices (:func:`_skeleton`); a lattice keeps only each
-group's id offset and one closure of its order, ``down``
-(:func:`down_closure`), from which every order query is read.
+group's id offset, off which its covers are read, and one closure of its
+order, ``down`` (:func:`down_closure`), from which every order query is read.
 
 A cover is one rotation walk, and most walks repeat.  The rotation at the
 valley ending row y of mu moves one east step from row y up to the row k
@@ -60,6 +60,7 @@ column vectors count them.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, reduce
 from itertools import accumulate
@@ -124,11 +125,11 @@ class IntervalRecord:
 
 
 @lru_cache(maxsize=16)
-def _skeleton(nu: LatticePath) -> tuple[tuple, tuple, tuple, tuple, tuple]:
-    """The paths weakly above nu in canonical order, their ids, lows, cover groups and rank table.
+def _skeleton(nu: LatticePath) -> tuple[tuple, tuple, tuple, tuple]:
+    """The paths weakly above nu in canonical order, their lows, cover groups and rank table.
 
-    The ids are ``tuple(range(N))``, whose ints groups and covers hold;
-    ``table[j][x]`` is c[j][x + 1], or 0 when x = b_j (:func:`_rank`).
+    The groups hold the ints of one ``tuple(range(N))``, so equal ids are
+    one object; ``table[j][x]`` is c[j][x + 1], or 0 when x = b_j (:func:`_rank`).
     ``lows[r]`` is the first row with an east step of each path r but the
     top.  ``groups[i]`` names the groups of path i's valleys in order: the
     one ending row y is in the group of (0, ..., 0, p_y, mu_{y+1}, ..., mu_n),
@@ -152,7 +153,7 @@ def _skeleton(nu: LatticePath) -> tuple[tuple, tuple, tuple, tuple, tuple]:
         if slots:
             lows.append(low)
         groups.append(tuple(reversed(slots)))
-    return elements, ranks, tuple(lows), tuple(groups), table
+    return elements, tuple(lows), tuple(groups), table
 
 
 def _rank(table: tuple, mu: tuple[int, ...]) -> int:
@@ -179,17 +180,16 @@ def down_closure(groups: tuple, offsets: list[int]) -> list[int]:
 class FiniteLattice:
     """One alt nu-Tamari lattice: its elements, cover offsets and ``down`` closure.
 
-    The elements, their rank table and cover groups are shared with every
-    lattice of the same nu.  ``offsets[r]``, the id offset of group r's
-    covers, is shared by a block of groups and read off one rotation
-    (module docstring).  Every order query reads ``down[j]``, the elements
-    below j; cover lists, cover triples and trees are derived on first read.
+    The elements, their rank table and cover groups are shared with every lattice of
+    the same nu.  ``offsets[r]``, the id offset of group r's covers, is shared by a block
+    of groups and read off one rotation (module docstring); :meth:`covers` walks them.
+    Every order query reads ``down[j]``, the elements below j; trees are made on first read.
     """
 
     def __init__(self, delta: IncrementVector):
         self.delta = delta
-        elements, ranks, lows, groups, table = _skeleton(delta.nu)
-        self.elements, self.groups, self._ranks, self._table = elements, groups, ranks, table
+        elements, lows, groups, table = _skeleton(delta.nu)
+        self.elements, self.groups, self._table = elements, groups, table
         n, offsets, r = len(delta.entries), [], 0
         while r < len(lows):  # r starts a block of groups
             mu, y = elements[r], lows[r]
@@ -202,12 +202,6 @@ class FiniteLattice:
             offsets += [_rank(table, rotated) - r] * size
             r += size
         self.offsets, self.down = offsets, down_closure(groups, offsets)
-
-    @cached_property
-    def upper_covers(self) -> list[list[int]]:
-        """Each element's delta-rotations in valley order: i plus its groups' offsets."""
-        ranks, offsets = self._ranks, self.offsets
-        return [[ranks[i + offsets[r]] for r in slots] for i, slots in enumerate(self.groups)]
 
     # -- basic queries ------------------------------------------------
 
@@ -346,11 +340,18 @@ class FiniteLattice:
 
     # -- export ---------------------------------------------------------
 
-    @cached_property
-    def covers(self) -> tuple[tuple[int, int, int], ...]:
-        """The covers (low, high, valley ordinal), sorted; for export."""
-        uppers = enumerate(self.upper_covers)
-        return tuple(sorted((low, high, k) for low, highs in uppers for k, high in enumerate(highs)))
+    def covers(self) -> Iterator[tuple[int, int, int]]:
+        """The covers (low, high, valley ordinal) in sorted order, walked afresh; for export.
+
+        Element i covers i + ``offsets[groups[i][k]]`` at its k-th valley from the bottom.
+        The rotations at valleys ending rows y_1 < y_2 agree below row y_1, where the one
+        at y_2 keeps mu's entry and the one at y_1 lowers it, so the one at y_2 comes first
+        in canonical (decreasing lexicographic) order: k runs down, and nothing is sorted.
+        """
+        offsets = self.offsets
+        for i, slots in enumerate(self.groups):
+            for k in range(len(slots) - 1, -1, -1):
+                yield i, i + offsets[slots[k]], k
 
     def to_json_dict(self) -> dict:
         return {
@@ -360,7 +361,7 @@ class FiniteLattice:
                 {"id": i, "path": LatticePath.from_composition(mu).word}
                 for i, mu in enumerate(self.elements)
             ],
-            "covers": [[low, high] for low, high, _ in self.covers],
+            "covers": [[low, high] for low, high, _ in self.covers()],
             "linear_counts": list(self.census().totals),
         }
 
@@ -369,7 +370,7 @@ class FiniteLattice:
         for i, mu in enumerate(self.elements):
             label = ",".join(map(str, mu))
             lines.append(f'  n{i} [label="{label}"];')
-        for low, high, _ in self.covers:
+        for low, high, _ in self.covers():
             lines.append(f"  n{low} -> n{high};")
         lines.append("}")
         return "\n".join(lines) + "\n"

@@ -7,7 +7,7 @@ import pytest
 
 from alttamari import IncrementVector, LatticePath, increment_box, oracle
 from alttamari.counting import _rows
-from alttamari.paths import all_base_paths, excursion_ends
+from alttamari.paths import all_base_paths, delta_rotate, excursion_ends, valleys
 
 
 def all_instances(max_size: int) -> Iterator[tuple[LatticePath, IncrementVector]]:
@@ -26,6 +26,19 @@ def rank_offset(mu: tuple[int, ...], delta: IncrementVector, y: int) -> int:
     prefixes = list(accumulate(mu))
     k = excursion_ends(mu, delta, y)[0]
     return sum(completions[j + 1][prefixes[j]] for j in range(y, k))
+
+
+def rotated_covers(lattice) -> tuple[tuple[int, int, int], ...]:
+    """The sorted covers (i, high, k): one ``delta_rotate`` at each valley k of each path i."""
+    delta = lattice.delta
+    ids = {mu: i for i, mu in enumerate(lattice.elements)}
+    return tuple(
+        sorted(
+            (i, ids[delta_rotate(mu, delta, y)], k)
+            for i, mu in enumerate(lattice.elements)
+            for k, y in enumerate(valleys(mu))
+        )
+    )
 
 
 def count_nested_pairs(nu_word: str) -> int:

@@ -114,7 +114,7 @@ def test_criterion_4_oracle_equivalence():
         for nu, delta in all_instances(SWEEP_SIZE):
             lat = build_lattice(delta)
             census = lat.census()
-            matrix = oracle.closure_from_covers(len(lat), [(a, b) for a, b, _ in lat.covers])
+            matrix = oracle.closure_from_covers(len(lat), [(a, b) for a, b, _ in lat.covers()])
             assert tuple(census.totals) == oracle.oracle_census(matrix)
             # the witness families reproduce the scan's linear intervals pair
             # by pair: disjoint for lengths >= 2, identical at length 1
@@ -208,7 +208,7 @@ def test_criterion_8_mtamari_left_distribution():
         lat = build_lattice(IncrementVector.maximal(base))
         census = lat.census()
         assert census.left == (728, 442, 222, 112, 47, 18, 5, 1)
-        matrix = oracle.closure_from_covers(len(lat), [(a, b) for a, b, _ in lat.covers])
+        matrix = oracle.closure_from_covers(len(lat), [(a, b) for a, b, _ in lat.covers()])
         assert tuple(census.totals) == oracle.oracle_census(matrix)
 
 

@@ -392,7 +392,7 @@ def test_verify_sweep_cross_checks_every_base_word(capsys, monkeypatch, tmp_path
 
     expected = Counter()
     for nu in all_base_paths(3):
-        orders = {tuple(map(tuple, build_lattice(d).upper_covers)) for d in increment_box(nu)}
+        orders = {tuple(build_lattice(d).covers()) for d in increment_box(nu)}
         expected.update({("laws", nu.word): len(orders), ("oracle", nu.word): len(orders)})
     log = tmp_path / "checks"
     build, check_lattice_laws = alttamari.cli.build_lattice, FiniteLattice.check_lattice_laws
@@ -437,13 +437,13 @@ def test_the_sweep_key_tells_the_same_orders_apart_as_the_cover_lists(monkeypatc
     checked, check_lattice_laws = [], FiniteLattice.check_lattice_laws
 
     def laws(lattice):
-        checked.append(tuple(map(tuple, lattice.upper_covers)))
+        checked.append(tuple(lattice.covers()))
         return check_lattice_laws(lattice)
 
     monkeypatch.setattr(FiniteLattice, "check_lattice_laws", laws)
     for nu in all_base_paths(7):
         lattices = [build_lattice(delta) for delta in increment_box(nu)]
-        pairs = {(tuple(lat.offsets), tuple(map(tuple, lat.upper_covers))) for lat in lattices}
+        pairs = {(tuple(lat.offsets), tuple(lat.covers())) for lat in lattices}
         orders = {covers for _, covers in pairs}
         assert len({offsets for offsets, _ in pairs}) == len(orders) == len(pairs), nu.word
         checked.clear()

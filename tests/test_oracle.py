@@ -150,7 +150,7 @@ def test_census_scan_matches_the_definition_on_posets(poset):
 def test_census_scan_matches_the_definition_on_every_small_lattice():
     for _, delta in all_instances(6):
         lat = build_lattice(delta)
-        matrix = oracle.closure_from_covers(len(lat), [(a, b) for a, b, _ in lat.covers])
+        matrix = oracle.closure_from_covers(len(lat), [(a, b) for a, b, _ in lat.covers()])
         assert oracle.oracle_census(matrix) == census_by_definition(matrix)
 
 
@@ -160,7 +160,7 @@ def test_comparable_pair_totals_match_census():
 
     nu = LatticePath("ENEEN")
     lat = build_lattice(IncrementVector((1, 0), nu))
-    matrix = oracle.closure_from_covers(len(lat), [(a, b) for a, b, _ in lat.covers])
+    matrix = oracle.closure_from_covers(len(lat), [(a, b) for a, b, _ in lat.covers()])
     assert oracle.oracle_census(matrix) == (7, 8, 4, 1)
     comparable = sum(row.bit_count() for row in matrix)
     linear_total = sum(oracle.oracle_census(matrix))

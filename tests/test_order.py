@@ -37,7 +37,14 @@ from alttamari.paths import (
 )
 from alttamari.vectors import reduced_column_vector
 
-from conftest import all_base_paths, all_instances, count_nested_pairs, rank_offset, transpose
+from conftest import (
+    all_base_paths,
+    all_instances,
+    count_nested_pairs,
+    rank_offset,
+    rotated_covers,
+    transpose,
+)
 
 
 def lattice_of(word, entries):
@@ -49,13 +56,13 @@ def test_build_examples():
     for entries in [(0, 0), (1, 0), (2, 0)]:
         lat = lattice_of("ENEEN", entries)
         assert len(lat) == 7
-        assert len(lat.covers) == 8
+        assert len(tuple(lat.covers())) == 8
     for entries in [(0, 0, 0), (1, 0, 0), (2, 0, 0)]:
         lat = lattice_of("ENEENN", entries)
         assert len(lat) == 16
-        assert len(lat.covers) == 24
+        assert len(tuple(lat.covers())) == 24
     tiny = lattice_of("EEE", ())
-    assert len(tiny) == 1 and not tiny.covers
+    assert len(tiny) == 1 and not tuple(tiny.covers())
 
 
 def test_census_examples():
@@ -84,7 +91,7 @@ def test_bounds_and_idempotence():
 def test_meet_join_against_oracle_scan():
     for nu, delta in all_instances(5):
         lat = build_lattice(delta)
-        matrix = oracle.closure_from_covers(len(lat), [(a, b) for a, b, _ in lat.covers])
+        matrix = oracle.closure_from_covers(len(lat), [(a, b) for a, b, _ in lat.covers()])
         for a in range(len(lat)):
             for b in range(a, len(lat)):
                 assert lat.meet(a, b) == oracle.oracle_meet(matrix, a, b)
@@ -139,12 +146,12 @@ def test_lattice_laws_reject_a_cyclic_order():
 
 def test_lattice_laws_accept_a_lattice_rebuilt_from_its_covers():
     lat = lattice_of("ENEENN", (2, 0, 0))
-    poset = poset_from_covers(len(lat), [(a, b) for a, b, _ in lat.covers])
+    poset = poset_from_covers(len(lat), [(a, b) for a, b, _ in lat.covers()])
     assert poset.check_lattice_laws() == len(lat) * (len(lat) - 1) // 2
 
 
 def assert_closures_match_the_oracle(lat):
-    matrix = oracle.closure_from_covers(len(lat), [(a, b) for a, b, _ in lat.covers])
+    matrix = oracle.closure_from_covers(len(lat), [(a, b) for a, b, _ in lat.covers()])
     assert lat.down == transpose(matrix)
 
 
@@ -196,7 +203,7 @@ def test_covers_match_naive_rotations():
             for low, word in enumerate(words)
             for ordinal, rotated in oracle.naive_rotations(word, delta.entries)
         )
-        assert lat.covers == tuple(expected), (nu.word, delta.entries)
+        assert tuple(lat.covers()) == tuple(expected), (nu.word, delta.entries)
 
 
 def test_the_last_increment_changes_no_cover():
@@ -204,8 +211,8 @@ def test_the_last_increment_changes_no_cover():
     checked = 0
     for nu, delta in all_instances(7):
         if nu.n and delta.entries[-1]:
-            covers = build_lattice(IncrementVector(delta.entries[:-1] + (0,), nu)).upper_covers
-            assert build_lattice(delta).upper_covers == covers, (nu.word, delta.entries)
+            covers = tuple(build_lattice(IncrementVector(delta.entries[:-1] + (0,), nu)).covers())
+            assert tuple(build_lattice(delta).covers()) == covers, (nu.word, delta.entries)
             checked += 1
     assert checked == 370
 
@@ -214,8 +221,10 @@ def test_census_derives_neither_cover_triples_nor_trees():
     lat = lattice_of("ENEENN", (1, 0, 0))
     assert lat.census().totals == (16, 24, 16, 3)
     assert not {"covers", "trees", "region", "nu"} & set(vars(lat))
-    assert sum(map(len, lat.upper_covers)) == len(lat.covers) == 24
-    assert "covers" in vars(lat)
+    assert len(tuple(lat.covers())) == len(lat.to_json_dict()["covers"]) == 24
+    assert lat.to_dot().count("->") == 24
+    # covers are walked afresh on each read: no export leaves cover data behind
+    assert not {"covers", "upper_covers"} & set(vars(lat))
 
 
 def test_grouped_covers_match_one_rotation_per_valley():
@@ -223,9 +232,7 @@ def test_grouped_covers_match_one_rotation_per_valley():
     checked = 0
     for nu, delta in all_instances(8):
         lat = build_lattice(delta)
-        ids = {mu: i for i, mu in enumerate(lat.elements)}
-        expected = [[ids[delta_rotate(mu, delta, y)] for y in valleys(mu)] for mu in lat.elements]
-        assert lat.upper_covers == expected, (nu.word, delta.entries)
+        assert tuple(lat.covers()) == rotated_covers(lat), (nu.word, delta.entries)
         checked += 1
     assert checked == 2584
 
@@ -285,7 +292,7 @@ def test_a_build_makes_one_rotation_per_block_of_groups(monkeypatch):
 
     monkeypatch.setattr(order, "delta_rotate", counted)
     lat = build_lattice(IncrementVector.zero(LatticePath("NEE" * 7)))
-    assert (len(calls), len(lat), sum(map(len, lat.upper_covers))) == (197, 7752, 31008)
+    assert (len(calls), len(lat), len(tuple(lat.covers()))) == (197, 7752, 31008)
     for nu, delta in all_instances(8):
         calls.clear()
         lat = build_lattice(delta)
@@ -305,11 +312,8 @@ def benchmark_delta(pick) -> IncrementVector:
 @pytest.mark.parametrize("pick", ["zero", "maximal", 1, 2, 3])
 def test_benchmark_lattice_covers_match_one_rotation_per_valley(pick):
     # blocks grow large only on long nu: (NE^2)^7 has 7,752 elements and 31,008 covers
-    delta = benchmark_delta(pick)
-    lat = build_lattice(delta)
-    ids = {mu: i for i, mu in enumerate(lat.elements)}
-    expected = [[ids[delta_rotate(mu, delta, y)] for y in valleys(mu)] for mu in lat.elements]
-    assert lat.upper_covers == expected, delta.entries
+    lat = build_lattice(benchmark_delta(pick))
+    assert tuple(lat.covers()) == rotated_covers(lat), lat.delta.entries
 
 
 @pytest.mark.parametrize("pick", ["zero", "maximal", 1, 2, 3])
@@ -317,7 +321,7 @@ def test_benchmark_lattice_closure_matches_the_oracle(pick):
     # down is swept from the groups and offsets alone: a build lists no covers
     lat = build_lattice(benchmark_delta(pick))
     assert "upper_covers" not in vars(lat)
-    covers = [(a, b) for a, b, _ in lat.covers]
+    covers = [(a, b) for a, b, _ in lat.covers()]
     matrix = oracle.closure_from_covers(len(lat), covers)
     # down == transpose(matrix), in O(N + E) row operations where transposing reads N^2
     # bits: down holds each id's own bit and each cover's lower row within its upper row,
@@ -331,7 +335,7 @@ def test_benchmark_lattice_closure_matches_the_oracle(pick):
 def test_lattices_of_one_nu_share_one_skeleton():
     # every delta of nu orders the same paths; a lattice keeps one closure
     def parts(lat):
-        return lat.elements, lat.upper_covers, lat.down
+        return lat.elements, tuple(lat.covers()), lat.down
 
     cold = {}
     for nu, delta in all_instances(6):
@@ -353,7 +357,7 @@ def test_covers_form_the_transitive_reduction():
     # no rotation edge is implied by the others
     for nu, delta in all_instances(6):
         lat = build_lattice(delta)
-        edges = {(low, high) for low, high, _ in lat.covers}
+        edges = {(low, high) for low, high, _ in lat.covers()}
         for low, high in edges:
             via = any(
                 (low, mid) in edges and lat.leq(mid, high)
@@ -406,7 +410,7 @@ def test_witness_counts_match_formulas_and_apply():
 
 def linear_pairs_by_length(lat) -> dict[int, set[tuple[int, int]]]:
     """The non-trivial linear intervals the closure scan finds, by length."""
-    matrix = oracle.closure_from_covers(len(lat), [(a, b) for a, b, _ in lat.covers])
+    matrix = oracle.closure_from_covers(len(lat), [(a, b) for a, b, _ in lat.covers()])
     by_scan: dict[int, set[tuple[int, int]]] = {}
     for a in range(len(lat)):
         for b in range(len(lat)):
@@ -482,7 +486,7 @@ def test_classify_examples(eneen):
     assert rec.kind == TRIVIAL and rec.length == 0
     rec = lat.classify(lat.bottom, lat.top)
     assert rec.kind == NON_LINEAR
-    cover = lat.covers[0]
+    cover = tuple(lat.covers())[0]
     rec = lat.classify(cover[0], cover[1])
     assert rec.kind == LEFT and rec.also_right and rec.length == 1
     with pytest.raises(ContractError):
@@ -571,7 +575,7 @@ def test_dot_export_is_deterministic():
 
 def _transport_a_cover(transport, delta2):
     lattice = build_lattice(IncrementVector.maximal(LatticePath("ENEEN")))
-    low, high, _ = lattice.covers[0]
+    low, high, _ = tuple(lattice.covers())[0]
     return transport(lattice.trees[low], lattice.trees[high], delta2)
 
 
@@ -600,7 +604,7 @@ def test_a_padded_word_has_its_cores_lattices():
     from alttamari.counting import census_by_paths
 
     def orders(nu):
-        return {tuple(map(tuple, build_lattice(d).upper_covers)) for d in increment_box(nu)}
+        return {tuple(build_lattice(d).covers()) for d in increment_box(nu)}
 
     padded = [nu for nu in all_base_paths(8) if nu.word[:1] == "N" or nu.word[-1:] == "E"]
     assert len(padded) == 383

@@ -145,7 +145,7 @@ def test_transport_covers_map_to_covers(eneen):
     d0 = IncrementVector((0, 0), eneen)
     lat = build_lattice(d2)
     lat0 = build_lattice(d0)
-    for low, high, _ in lat.covers:
+    for low, high, _ in lat.covers():
         b2, t2 = transport_left_interval(lat.trees[low], lat.trees[high], d0)
         linear, length = lat0.is_linear(lat0.tree_id(b2), lat0.tree_id(t2))
         assert linear and length == 1
@@ -449,7 +449,7 @@ def test_restricted_census_matches_the_oracle_on_bad_bases():
             index = {i: k for k, i in enumerate(members)}
             covers = [
                 (index[low], index[high])
-                for low, high, _ in full.covers
+                for low, high, _ in full.covers()
                 if low in index and high in index
             ]
             matrix = oracle.closure_from_covers(len(members), covers)
