@@ -1,6 +1,6 @@
 """Mutants of the library that the test suite must kill.
 
-Usage: ``python tests/mutants.py [NAME ...]`` runs every mutant, or only the named ones.
+Usage: ``python tests/mutants.py`` runs every mutant.
 
 Each mutant names a file of the repository, a text that occurs in it exactly
 once, the text that replaces it, and the tests that must each fail once it is
@@ -179,26 +179,22 @@ def failed(test: str, ids: set[str]) -> bool:
     return any(i == test or i.startswith(test + "[") for i in ids)
 
 
-def main(names: list[str]) -> int:
-    unknown = set(names) - {mutant.name for mutant in MUTANTS}
-    if unknown:
-        sys.exit(f"no mutant named {', '.join(sorted(unknown))}")
-    chosen = [mutant for mutant in MUTANTS if not names or mutant.name in names]
+def main() -> int:
     bad = [
         f"{m.name}: the old text occurs {count} times in {m.path}"
-        for m in chosen
+        for m in MUTANTS
         if (count := (ROOT / m.path).read_text().count(m.old)) != 1
-    ] + [f"{m.name}: lists no test" for m in chosen if not m.tests]
+    ] + [f"{m.name}: lists no test" for m in MUTANTS if not m.tests]
     if bad:
         sys.exit("\n".join(bad))
-    tests = sorted({test for mutant in chosen for test in mutant.tests})
+    tests = sorted({test for mutant in MUTANTS for test in mutant.tests})
     with tempfile.TemporaryDirectory() as scratch:
         root = Path(scratch) / "unchanged"
         copy_repo(root)
         if failed_tests(root, tests) != set():
             sys.exit("the listed tests do not all pass on an unchanged copy")
     survivors = 0
-    for mutant in chosen:
+    for mutant in MUTANTS:
         start = time.perf_counter()
         with tempfile.TemporaryDirectory() as scratch:
             root = Path(scratch) / "mutant"
@@ -212,9 +208,9 @@ def main(names: list[str]) -> int:
         print(f"{verdict:8} {mutant.name} ({time.perf_counter() - start:.1f} s)", flush=True)
         for test in passed:
             print(f"         passed: {test}")
-    print(f"{len(chosen) - survivors} of {len(chosen)} mutants killed")
+    print(f"{len(MUTANTS) - survivors} of {len(MUTANTS)} mutants killed")
     return 1 if survivors else 0
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    sys.exit(main())

